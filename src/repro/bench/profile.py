@@ -16,23 +16,19 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import io
 import pstats
-import sys
 from typing import List, Optional
+
+from repro.bench.wallclock import WORKLOADS, run_workload
 
 DEFAULT_TOP_N = 25
 
 #: pstats sort keys accepted by --sort; "cumulative" finds the expensive
 #: call path, "tottime" finds the function burning the cycles itself
 SORT_KEYS = ("cumulative", "tottime", "ncalls")
-
-
-def _registered():
-    from repro.bench.wallclock import WORKLOADS
-
-    return dict(WORKLOADS)
 
 
 def profile_workload(
@@ -42,15 +38,13 @@ def profile_workload(
     sort: str = "cumulative",
 ) -> str:
     """Run one registered workload under cProfile; returns the report text."""
-    workloads = _registered()
-    if name not in workloads:
+    if name not in WORKLOADS:
         raise KeyError(name)
     if sort not in SORT_KEYS:
         raise ValueError(f"sort must be one of {SORT_KEYS}, not {sort!r}")
-    fn = workloads[name]
     profiler = cProfile.Profile()
     profiler.enable()
-    result = fn(smoke)
+    result = run_workload(name, smoke)
     profiler.disable()
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
@@ -66,55 +60,24 @@ def profile_workload(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    workloads = _registered()
-    if "--list" in argv or not [a for a in argv if not a.startswith("-")]:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench profile", add_help=False
+    )
+    parser.add_argument(
+        "workload", nargs="?", choices=list(WORKLOADS), metavar="workload"
+    )
+    parser.add_argument("--list", action="store_true")
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("-n", "--top", type=int, default=DEFAULT_TOP_N)
+    parser.add_argument("--sort", choices=SORT_KEYS, default="cumulative")
+    args = parser.parse_args(argv)
+    if args.list or args.workload is None:
         print("registered workloads:")
-        for name in workloads:
+        for name in WORKLOADS:
             print(f"  {name}")
-        print(
-            "usage: python -m repro.bench profile <workload> [--smoke] [-n N]"
-            " [--sort cumulative|tottime|ncalls]"
-        )
-        return 0 if "--list" in argv else 2
-    smoke = "--smoke" in argv
-    top_n = DEFAULT_TOP_N
-    consumed: List[str] = []
-    for flag in ("-n", "--top"):
-        if flag in argv:
-            idx = argv.index(flag)
-            if idx + 1 >= len(argv):
-                print(f"profile: {flag} requires a number", file=sys.stderr)
-                return 2
-            consumed.append(argv[idx + 1])
-            try:
-                top_n = int(argv[idx + 1])
-            except ValueError:
-                print(
-                    f"profile: bad {flag} value {argv[idx + 1]!r}", file=sys.stderr
-                )
-                return 2
-            break
-    sort = "cumulative"
-    if "--sort" in argv:
-        idx = argv.index("--sort")
-        if idx + 1 >= len(argv) or argv[idx + 1] not in SORT_KEYS:
-            print(
-                f"profile: --sort requires one of {', '.join(SORT_KEYS)}",
-                file=sys.stderr,
-            )
-            return 2
-        sort = argv[idx + 1]
-        consumed.append(sort)
-    positional = [a for a in argv if not a.startswith("-") and a not in consumed]
-    if not positional:
-        print("profile: no workload named; --list shows choices", file=sys.stderr)
-        return 2
-    name = positional[0]
-    if name not in workloads:
-        print(f"profile: unknown workload {name!r}; --list shows choices", file=sys.stderr)
-        return 2
-    print(profile_workload(name, smoke=smoke, top_n=top_n, sort=sort))
+        print(parser.format_usage(), end="")
+        return 0 if args.list else 2
+    print(profile_workload(args.workload, args.smoke, args.top, args.sort))
     return 0
 
 

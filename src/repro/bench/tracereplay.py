@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.multi_tenant import _exp_gap, _zipf_cdf, _zipf_pick
 from repro.errors import InvalidArgument
@@ -452,6 +452,70 @@ class TraceReplayResult:
         return hist.percentiles_ns(0.5, 0.99, 0.999)
 
 
+def populate(
+    stack, root: str, files: int, file_bytes: int, tier: Optional[str]
+) -> List[object]:
+    """Write ``files`` files of ``file_bytes`` under ``root``; returns them open.
+
+    With ``tier`` (a tier *name*) every file is written pinned there, so
+    head-to-head policy comparisons start from identical block placement;
+    the pin is cleared afterwards.
+    """
+    mux = stack.mux
+    mux.mkdir(root)
+    pin = stack.tier_ids[tier] if tier is not None else None
+    payload = bytes([_PAYLOAD_BYTE]) * file_bytes
+    handles = []
+    for i in range(files):
+        path = f"{root}/f{i}"
+        if pin is not None:
+            mux.close(mux.create(path))
+            mux.set_placement(path, pin)
+            mux.write_file(path, payload)
+            mux.set_placement(path, None)
+        else:
+            mux.write_file(path, payload)
+        handle = mux.open(path)
+        # make the population durable before the measured window: dirty
+        # page-cache debt and a full device write buffer would otherwise
+        # bill population cleanup to the first measured reads
+        mux.fsync(handle)
+        handles.append(handle)
+    return handles
+
+
+def drop_clean_page_caches(stack) -> None:
+    """Empty every native file system's clean DRAM page cache."""
+    for fs in stack.filesystems.values():
+        cache = getattr(fs, "page_cache", None)
+        if cache is not None:
+            cache.drop_clean()
+
+
+def maintenance_tick(mux, index: int, every: int) -> int:
+    """Event ``index``'s background work; returns the migrations planned.
+
+    Every ``every`` events the mux plans migrations.  The background
+    copier runs continuously: in-flight migrations advance every event,
+    otherwise a multi-chunk copy spans many bursts of foreground writes
+    and OCC-aborts on each.  Mirror convergence rides the same cadence
+    (an instant no-op for policies that never grant mirrors).
+    """
+    planned = mux.maintain_async() if index and index % every == 0 else 0
+    mux.engine.tick()
+    mux.mirrors.tick()
+    return planned
+
+
+def settle(mux) -> None:
+    """Converge in-flight migrations and mirror syncs before a measured
+    window, so it sees the policy's steady-state placement rather than
+    the transient cost of reaching it."""
+    mux.maintain_async()
+    mux.engine.drain()
+    mux.mirrors.drain()
+
+
 def replay_trace(
     stack,
     trace: BlockTrace,
@@ -491,36 +555,12 @@ def replay_trace(
     mux = stack.mux
     clock = stack.clock
     trace.validate()
-
-    mux.mkdir(root)
-    pin = (
-        stack.tier_ids[population_tier] if population_tier is not None else None
-    )
-    payload = bytes([_PAYLOAD_BYTE]) * trace.file_bytes
-    handles = []
-    for i in range(trace.files):
-        path = f"{root}/f{i}"
-        if pin is not None:
-            mux.close(mux.create(path))
-            mux.set_placement(path, pin)
-            mux.write_file(path, payload)
-            mux.set_placement(path, None)
-        else:
-            mux.write_file(path, payload)
-        handle = mux.open(path)
-        # make the population durable before the measured window: dirty
-        # page-cache debt and a full device write buffer would otherwise
-        # bill population cleanup to the first measured reads
-        mux.fsync(handle)
-        handles.append(handle)
+    handles = populate(stack, root, trace.files, trace.file_bytes, population_tier)
 
     for _ in range(warm_passes):
         for index, op in enumerate(trace.ops):
             if maintain_every:
-                if index and index % maintain_every == 0:
-                    mux.maintain_async()
-                mux.engine.tick()
-                mux.mirrors.tick()
+                maintenance_tick(mux, index, maintain_every)
             handle = handles[op.file_id]
             if op.op == "read":
                 mux.read(handle, op.offset, op.length)
@@ -529,19 +569,13 @@ def replay_trace(
             else:
                 mux.fsync(handle)
     if warm_passes:
-        # settle before the measured window opens
-        mux.maintain_async()
-        mux.engine.drain()
-        mux.mirrors.drain()
+        settle(mux)
     if drop_page_caches:
         # make every page clean first — drop_clean() models a crash and
         # discards dirty pages too, which would lose warm-pass writes
         for handle in handles:
             mux.fsync(handle)
-        for fs in stack.filesystems.values():
-            cache = getattr(fs, "page_cache", None)
-            if cache is not None:
-                cache.drop_clean()
+        drop_clean_page_caches(stack)
 
     result = TraceReplayResult()
     ring = mux.open_ring(depth=ring_depth)
@@ -563,15 +597,7 @@ def replay_trace(
         clock.advance_to(start_ns + op.arrival_ns)
         harvest(ring.poll())
         if maintain_every:
-            if index and index % maintain_every == 0:
-                result.migrations_submitted += mux.maintain_async()
-            # the background copier runs continuously: advance in-flight
-            # migrations every event, otherwise a multi-chunk copy spans
-            # many bursts of foreground writes and OCC-aborts on each
-            mux.engine.tick()
-            # mirror convergence rides the same cadence (instant no-op
-            # for policies that never grant mirrors)
-            mux.mirrors.tick()
+            result.migrations_submitted += maintenance_tick(mux, index, maintain_every)
         handle = handles[op.file_id]
         if op.op == "read":
             sub = ring.submit_read(handle, op.offset, op.length)
@@ -591,30 +617,3 @@ def replay_trace(
         mux.close(handle)
     result.final_now_ns = clock.now_ns
     return result
-
-
-def compare_policies(
-    trace: BlockTrace,
-    policies: Iterable[str],
-    stack_factory: Callable[[str], object],
-    ring_depth: int = 8,
-    maintain_every: int = 64,
-    population_tier: Optional[str] = "ssd",
-) -> Dict[str, TraceReplayResult]:
-    """Replay one trace against a fresh stack per registered policy name.
-
-    ``stack_factory(policy_name)`` must return identically-configured
-    stacks differing only in policy, so the trace is the controlled
-    variable and the policy is the treatment.
-    """
-    results: Dict[str, TraceReplayResult] = {}
-    for name in policies:
-        stack = stack_factory(name)
-        results[name] = replay_trace(
-            stack,
-            trace,
-            ring_depth=ring_depth,
-            maintain_every=maintain_every,
-            population_tier=population_tier,
-        )
-    return results

@@ -7,16 +7,24 @@ the stack (``time.perf_counter`` seconds and ops/sec), so data-path
 optimisations show up as a perf trajectory across PRs even though the
 simulated results are bit-identical by design.
 
+Every workload is one entry in :data:`WORKLOADS`: a name and a body that
+picks its smoke or full sizes, builds its stacks untimed and runs its
+measured work inside ``with timed:``.  :func:`run_workload` owns the
+timing and the result shape, and ``wallclock`` and ``profile`` both read
+the registry.
+
 Two guarantees this module enforces:
 
 * **Determinism** — each workload builds a fresh stack and records a
-  *simulated fingerprint* (``clock.now_ns``, per-device ``DeviceStats``,
-  SCM-cache hit/miss counters).  Repetitions must produce identical
-  fingerprints or the run aborts.
+  *simulated fingerprint* (:func:`sim_fingerprint`: ``clock.now_ns``,
+  per-device ``DeviceStats``, SCM-cache counters).  Repetitions must
+  produce identical fingerprints or the run aborts.
 * **Drift detection** — ``--smoke`` reruns a reduced version of every
   workload and compares fingerprints against the golden values recorded
-  in ``BENCH_wallclock.json``, exiting nonzero on any mismatch.  This is
-  the CI guard that data-path changes did not alter the timing model.
+  in ``BENCH_wallclock.json``, exiting nonzero on any mismatch and on any
+  workload registered without a golden (or golden without a workload).
+  This is the CI guard that data-path changes did not alter the timing
+  model.
 
 Usage::
 
@@ -27,21 +35,30 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 import time
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.bench.harness import build_strata
 from repro.bench.macro import fileserver, varmail, webserver
 from repro.bench.multi_tenant import (
     TenantSpec,
+    _zipf_cdf,
+    _zipf_pick,
     fairness_slowdowns,
     run_multi_tenant,
     slowdown_x,
 )
-from repro.bench.tracereplay import load_canonical, replay_trace
+from repro.bench.tracereplay import (
+    drop_clean_page_caches,
+    load_canonical,
+    maintenance_tick,
+    populate,
+    replay_trace,
+    settle,
+)
 from repro.bench.workloads import (
     cache_writeback,
     fault_storm,
@@ -54,7 +71,6 @@ from repro.bench.workloads import (
     sequential_write,
     striped_reads,
 )
-from repro.bench.multi_tenant import _zipf_cdf, _zipf_pick
 from repro.core.qos import IoClass
 from repro.core.scheduler import IoScheduler
 from repro.devices.faults import FaultConfig
@@ -78,207 +94,184 @@ SMOKE_REPS = 1
 # fingerprints
 # ---------------------------------------------------------------------------
 
-
-def _mux_fingerprint(stack: Stack, extended: bool = False) -> Dict[str, object]:
-    """Simulated fingerprint of a stack run.
-
-    ``extended`` additionally pins the write-back counters; only the
-    ``cache_writeback`` workload uses it, so the fingerprints (and hence
-    the goldens) of every pre-existing workload are unchanged.
-    """
-    fp: Dict[str, object] = {
-        "now_ns": stack.clock.now_ns,
-        "devices": {
-            name: dev.stats.snapshot() for name, dev in sorted(stack.devices.items())
-        },
-    }
-    if stack.mux.cache is not None:
-        fp["cache"] = {
-            "hit": stack.mux.cache.stats.get("hit"),
-            "miss": stack.mux.cache.stats.get("miss"),
-        }
-        if extended:
-            counters = stack.mux.cache.cache_counters()
-            for key in ("write_hit", "destage_runs", "destaged_blocks", "dirty_blocks"):
-                fp["cache"][key] = counters.get(key, 0)
-    else:
-        fp["cache"] = {"hit": 0, "miss": 0}
-    return fp
+#: counters only a write-back cache has; pinned whenever one is present
+_WRITE_BACK_KEYS = ("write_hit", "destage_runs", "destaged_blocks", "dirty_blocks")
 
 
-def _strata_fingerprint(clock, devices) -> Dict[str, object]:
+def sim_fingerprint(
+    clock, devices: Dict[str, Any], caches: Iterable[Any]
+) -> Dict[str, object]:
+    """Simulated fingerprint of a run: final clock, per-device stats and
+    SCM-cache counters summed over ``caches`` (``None`` entries are stacks
+    without a cache).  A write-back cache also pins its write-back
+    counters."""
+    present = [cache for cache in caches if cache is not None]
+    keys = ("hit", "miss")
+    if any(cache.write_back for cache in present):
+        keys += _WRITE_BACK_KEYS
+    counters = [cache.cache_counters() for cache in present]
     return {
         "now_ns": clock.now_ns,
-        "devices": {
-            name: dev.stats.snapshot() for name, dev in sorted(devices.items())
-        },
-        "cache": {"hit": 0, "miss": 0},
+        "devices": {name: dev.stats.snapshot() for name, dev in devices.items()},
+        "cache": {key: sum(c.get(key, 0) for c in counters) for key in keys},
     }
 
 
-# ---------------------------------------------------------------------------
-# workloads
-# ---------------------------------------------------------------------------
-#
-# Each workload is a callable (smoke: bool) -> result dict.  It builds a
-# fresh stack (so reps are independent and deterministic), times only the
-# measured section with perf_counter, and reports the simulated
-# fingerprint of the *whole* run including setup.
+def _stack_fingerprint(stack: Stack) -> Dict[str, object]:
+    return sim_fingerprint(stack.clock, stack.devices, [stack.mux.cache])
 
 
-def _wl_seq_write(smoke: bool) -> Dict[str, object]:
-    total = 8 * MIB if smoke else 48 * MIB
+def compare_fingerprints(
+    golden: Dict[str, object], observed: Dict[str, object], prefix: str = ""
+) -> List[str]:
+    """Leaf-level differences between two nested dicts (empty == identical)."""
+    diffs: List[str] = []
+    for key in sorted(set(golden) | set(observed), key=str):
+        g, o = golden.get(key), observed.get(key)
+        path = f"{prefix}{key}"
+        if isinstance(g, dict) and isinstance(o, dict):
+            diffs.extend(compare_fingerprints(g, o, path + "."))
+        elif g != o:
+            diffs.append(f"{path}: golden={g} got={o}")
+    return diffs
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+
+class _Stopwatch:
+    """Host seconds summed over the ``with timed:`` sections of one rep."""
+
+    def __init__(self) -> None:
+        self.wall_s = 0.0
+
+    def __enter__(self) -> None:
+        self._t0 = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        self.wall_s += time.perf_counter() - self._t0
+
+
+@dataclass
+class Measured:
+    """What a workload body reports; the fingerprint covers the whole run,
+    setup included."""
+
+    ops: int
+    bytes: int
+    sim_elapsed_s: float
+    fingerprint: Dict[str, object]
+    events: Optional[Dict[str, object]] = None
+
+
+#: a workload body: ``body(timed, smoke)`` picks its smoke or full sizes,
+#: builds fresh stacks (so reps are independent and deterministic), runs
+#: only its measured work inside ``with timed:`` and returns a
+#: :class:`Measured`
+Body = Callable[[_Stopwatch, bool], Measured]
+
+
+def _bench_stack(path: Optional[str] = None, size: int = 0) -> Stack:
+    """Default stack with ``/bench``, plus a ``size``-byte file at ``path``."""
     stack = build_stack()
     stack.mux.mkdir("/bench")
-    t0 = time.perf_counter()
-    res = sequential_write(stack.mux, stack.clock, "/bench/seq", total)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": total // (4 * MIB),
-        "bytes": res.bytes_moved,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    if path is not None:
+        stack.mux.close(make_file(stack.mux, stack.clock, path, size))
+    return stack
 
 
-def _wl_seq_read(smoke: bool) -> Dict[str, object]:
+def _seq_write(timed, smoke: bool) -> Measured:
+    total = 8 * MIB if smoke else 48 * MIB
+    stack = _bench_stack()
+    with timed:
+        res = sequential_write(stack.mux, stack.clock, "/bench/seq", total)
+    fingerprint = _stack_fingerprint(stack)
+    return Measured(total // (4 * MIB), res.bytes_moved, res.elapsed_s, fingerprint)
+
+
+def _seq_read(timed, smoke: bool) -> Measured:
     size = 8 * MIB if smoke else 64 * MIB
     passes = 1 if smoke else 6
-    stack = build_stack()
-    stack.mux.mkdir("/bench")
-    handle = make_file(stack.mux, stack.clock, "/bench/rdfile", size)
-    stack.mux.close(handle)
-    t0 = time.perf_counter()
-    moved = 0
+    stack = _bench_stack("/bench/rdfile", size)
     sim0 = stack.clock.now_ns
-    for _ in range(passes):
-        res = sequential_read(stack.mux, stack.clock, "/bench/rdfile", size)
-        moved += res.bytes_moved
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": passes * (size // (4 * MIB)),
-        "bytes": moved,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    moved = 0
+    with timed:
+        for _ in range(passes):
+            res = sequential_read(stack.mux, stack.clock, "/bench/rdfile", size)
+            moved += res.bytes_moved
+    return Measured(
+        passes * (size // (4 * MIB)),
+        moved,
+        (stack.clock.now_ns - sim0) / 1e9,
+        _stack_fingerprint(stack),
+    )
 
 
-def _wl_hot_set(smoke: bool) -> Dict[str, object]:
+def _hot_set_reads(timed, smoke: bool) -> Measured:
     size = 8 * MIB if smoke else 16 * MIB
     iters = 800 if smoke else 4000
-    stack = build_stack()
-    stack.mux.mkdir("/bench")
-    handle = make_file(stack.mux, stack.clock, "/bench/hot", size)
-    stack.mux.close(handle)
-    t0 = time.perf_counter()
+    stack = _bench_stack("/bench/hot", size)
     sim0 = stack.clock.now_ns
-    res = hot_set_reads(stack.mux, stack.clock, "/bench/hot", size, 2 * MIB, iters)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": res.operations * 4096,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    with timed:
+        res = hot_set_reads(stack.mux, stack.clock, "/bench/hot", size, 2 * MIB, iters)
+    return Measured(
+        res.operations,
+        res.operations * 4096,
+        (stack.clock.now_ns - sim0) / 1e9,
+        _stack_fingerprint(stack),
+    )
 
 
-def _wl_fileserver(smoke: bool) -> Dict[str, object]:
+def _macro(timed, workload, **size) -> Measured:
+    """A Filebench-style macro workload, measured from an empty stack."""
+    stack = build_stack()
+    with timed:
+        res = workload(stack.mux, stack.clock, **size)
+    return Measured(res.operations, 0, res.elapsed_s, _stack_fingerprint(stack))
+
+
+def _fileserver(timed, smoke: bool) -> Measured:
     files, ops = (10, 150) if smoke else (40, 600)
-    stack = build_stack()
-    t0 = time.perf_counter()
-    res = fileserver(stack.mux, stack.clock, files=files, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    return _macro(timed, fileserver, files=files, operations=ops)
 
 
-def _wl_webserver(smoke: bool) -> Dict[str, object]:
+def _webserver(timed, smoke: bool) -> Measured:
     files, ops = (30, 250) if smoke else (100, 1000)
-    stack = build_stack()
-    t0 = time.perf_counter()
-    res = webserver(stack.mux, stack.clock, files=files, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    return _macro(timed, webserver, files=files, operations=ops)
 
 
-def _wl_varmail(smoke: bool) -> Dict[str, object]:
-    ops = 80 if smoke else 300
-    stack = build_stack()
-    t0 = time.perf_counter()
-    res = varmail(stack.mux, stack.clock, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+def _varmail(timed, smoke: bool) -> Measured:
+    return _macro(timed, varmail, operations=80 if smoke else 300)
 
 
-def _wl_metadata_churn(smoke: bool) -> Dict[str, object]:
+def _metadata_churn(timed, smoke: bool) -> Measured:
     files, ops = (60, 400) if smoke else (200, 12000)
     stack = build_stack()
     # tree construction is setup; the timed section is the steady-state
     # metadata traffic, routed through the VFS like a real application
     live = metadata_tree(stack.vfs, files=files, root="/mux")
-    t0 = time.perf_counter()
-    res = metadata_churn(
-        stack.vfs,
-        stack.clock,
-        files=files,
-        operations=ops,
-        root="/mux",
-        live=live,
-    )
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.total_ns / 1e9,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    with timed:
+        res = metadata_churn(
+            stack.vfs, stack.clock, files=files, operations=ops, root="/mux", live=live
+        )
+    return Measured(res.operations, 0, res.total_ns / 1e9, _stack_fingerprint(stack))
 
 
-def _wl_migration_churn(smoke: bool) -> Dict[str, object]:
+def _migration_churn(timed, smoke: bool) -> Measured:
     files, size, rounds = (2, 1 * MIB, 2) if smoke else (2, 16 * MIB, 6)
     stack = build_stack()
     tier_ids = [stack.tier_id(n) for n in ("pm", "ssd", "hdd") if n in stack.tier_ids]
-    t0 = time.perf_counter()
-    res = migration_churn(
-        stack.mux,
-        stack.clock,
-        tier_ids,
-        files=files,
-        file_bytes=size,
-        rounds=rounds,
-    )
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": files * rounds,
-        "bytes": res.bytes_moved,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    with timed:
+        res = migration_churn(
+            stack.mux, stack.clock, tier_ids, files=files, file_bytes=size, rounds=rounds
+        )
+    fingerprint = _stack_fingerprint(stack)
+    return Measured(files * rounds, res.bytes_moved, res.elapsed_s, fingerprint)
 
 
-def _wl_fault_storm(smoke: bool) -> Dict[str, object]:
+def _fault_storm(timed, smoke: bool) -> Measured:
     files, ops = (8, 150) if smoke else (24, 1200)
     stack = build_stack(
         faults={
@@ -292,38 +285,25 @@ def _wl_fault_storm(smoke: bool) -> Dict[str, object]:
         },
         fault_seed=2025,
     )
-    t0 = time.perf_counter()
     sim0 = stack.clock.now_ns
-    events = fault_storm(stack, operations=ops, files=files)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": 0,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "events": events,
-        "fingerprint": _mux_fingerprint(stack),
-    }
+    with timed:
+        events = fault_storm(stack, operations=ops, files=files)
+    return Measured(
+        ops, 0, (stack.clock.now_ns - sim0) / 1e9, _stack_fingerprint(stack), events
+    )
 
 
-def _wl_cache_writeback(smoke: bool) -> Dict[str, object]:
+def _cache_writeback(timed, smoke: bool) -> Measured:
     size, ops = (2 * MIB, 400) if smoke else (8 * MIB, 4000)
     stack = build_stack(cache_write_back=True)
-    t0 = time.perf_counter()
     sim0 = stack.clock.now_ns
-    counts = cache_writeback(stack, file_bytes=size, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": ops * 4096,
-        "sim_elapsed_s": (stack.clock.now_ns - sim0) / 1e9,
-        "events": counts,
-        "fingerprint": _mux_fingerprint(stack, extended=True),
-    }
+    with timed:
+        counts = cache_writeback(stack, file_bytes=size, operations=ops)
+    sim_s = (stack.clock.now_ns - sim0) / 1e9
+    return Measured(ops, ops * 4096, sim_s, _stack_fingerprint(stack), counts)
 
 
-def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
+def _parallel_stripe(timed, smoke: bool) -> Measured:
     """Striped cross-tier reads: the parallel engine vs the serial model.
 
     The same workload runs on two stacks — parallel dispatch (the
@@ -333,10 +313,8 @@ def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
     clock, so drift in *either* dispatch model trips the smoke guard.
     """
     size, reads = (2 * MIB, 2) if smoke else (16 * MIB, 4)
-    results: Dict[str, float] = {}
-    serial_now_ns = 0
-    fingerprint: Dict[str, object] = {}
-    wall = 0.0
+    mean_ns: Dict[str, float] = {}
+    stacks: Dict[str, Stack] = {}
     # dispatch-model ablation: saturation knees off, so the measured gap
     # is parallel-vs-serial dispatch alone — a 16 MiB stripe floods the
     # queues far past any calibrated knee, which would penalize both
@@ -346,35 +324,30 @@ def _wl_parallel_stripe(smoke: bool) -> Dict[str, object]:
         "ssd": replace(OPTANE_SSD_P4800X, knee_depth=0, knee_penalty=0.0),
     }
     for mode, parallel in (("parallel", True), ("serial", False)):
-        stack = build_stack(
+        stack = stacks[mode] = build_stack(
             tiers=["pm", "ssd"],
             enable_cache=False,
             scheduler=IoScheduler(parallel=parallel),
             profiles=no_knee,
         )
         tier_ids = [stack.tier_id(n) for n in ("pm", "ssd")]
-        t0 = time.perf_counter()
-        res = striped_reads(stack, tier_ids, file_bytes=size, reads=reads)
-        wall += time.perf_counter() - t0
-        results[mode] = res.mean_ns
-        if parallel:
-            fingerprint = _mux_fingerprint(stack)
-        else:
-            serial_now_ns = stack.clock.now_ns
-    fingerprint["serial_now_ns"] = serial_now_ns
-    speedup = results["serial"] / results["parallel"] if results["parallel"] else 0.0
-    return {
-        "wall_s": wall,
-        "ops": 2 * reads,
-        "bytes": 2 * reads * size,
-        "sim_elapsed_s": (results["parallel"] * reads) / 1e9,
-        "events": {
-            "parallel_read_us": round(results["parallel"] / 1e3, 2),
-            "serial_read_us": round(results["serial"] / 1e3, 2),
+        with timed:
+            res = striped_reads(stack, tier_ids, file_bytes=size, reads=reads)
+        mean_ns[mode] = res.mean_ns
+    fingerprint = _stack_fingerprint(stacks["parallel"])
+    fingerprint["serial_now_ns"] = stacks["serial"].clock.now_ns
+    speedup = mean_ns["serial"] / mean_ns["parallel"] if mean_ns["parallel"] else 0.0
+    return Measured(
+        2 * reads,
+        2 * reads * size,
+        (mean_ns["parallel"] * reads) / 1e9,
+        fingerprint,
+        {
+            "parallel_read_us": round(mean_ns["parallel"] / 1e3, 2),
+            "serial_read_us": round(mean_ns["serial"] / 1e3, 2),
             "speedup_x": round(speedup, 2),
         },
-        "fingerprint": fingerprint,
-    }
+    )
 
 
 def _mt_specs(load_mult: float) -> List[TenantSpec]:
@@ -410,7 +383,19 @@ def _mt_stack() -> Stack:
     return build_stack(enable_cache=False, readahead_background=True)
 
 
-def _wl_multi_tenant(smoke: bool) -> Dict[str, object]:
+def _tenant_bytes(specs: List[TenantSpec], res) -> int:
+    return sum(t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values()))
+
+
+def _tails(res) -> Dict[str, int]:
+    """Read and write p50/p99/p999 of a multi-tenant or replay result."""
+    return {
+        **{f"read_{k}": v for k, v in res.percentiles_ns("read").items()},
+        **{f"write_{k}": v for k, v in res.percentiles_ns("write").items()},
+    }
+
+
+def _multi_tenant(timed, smoke: bool) -> Measured:
     """Open-loop multi-tenant tails: async ring vs serialized depth-1.
 
     The same pre-generated arrival schedule runs twice per load point —
@@ -427,62 +412,57 @@ def _wl_multi_tenant(smoke: bool) -> Dict[str, object]:
     """
     duration_ns = 300_000 if smoke else 1_000_000
     loads = [1.0] if smoke else [4.0, 2.0, 1.0]
-    wall = 0.0
     ops = 0
     bytes_moved = 0
     sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
     tails: Dict[str, object] = {}
     table: Dict[str, object] = {}
-    ratio = 0.0
     for load in loads:
         specs = _mt_specs(load)
         point: Dict[str, Dict[str, int]] = {}
-        for depth in (8, 1):
-            stack = _mt_stack()
+        stacks: Dict[str, Stack] = {}
+        for label, depth in (("async", 8), ("depth1", 1)):
+            stack = stacks[label] = _mt_stack()
             sim0 = stack.clock.now_ns
-            t0 = time.perf_counter()
-            res = run_multi_tenant(stack, specs, duration_ns=duration_ns, ring_depth=depth)
-            wall += time.perf_counter() - t0
+            with timed:
+                res = run_multi_tenant(
+                    stack, specs, duration_ns=duration_ns, ring_depth=depth
+                )
             ops += res.completed_ops
-            bytes_moved += sum(
-                t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values())
-            )
-            label = "async" if depth == 8 else "depth1"
-            point[label] = {
-                **{f"read_{k}": v for k, v in res.percentiles_ns("read").items()},
-                **{f"write_{k}": v for k, v in res.percentiles_ns("write").items()},
-            }
+            bytes_moved += _tenant_bytes(specs, res)
+            point[label] = _tails(res)
             if depth == 8:
                 sim_elapsed_ns += stack.clock.now_ns - sim0
-            if load == loads[-1]:
-                if depth == 8:
-                    fingerprint = _mux_fingerprint(stack)
-                else:
-                    fingerprint["depth1_now_ns"] = stack.clock.now_ns
         key = f"load_{load:g}x"
         tails[key] = point
         table[key] = {
             "async_read_p99_us": round(point["async"]["read_p99"] / 1e3, 2),
             "depth1_read_p99_us": round(point["depth1"]["read_p99"] / 1e3, 2),
         }
-        if load == loads[-1] and point["async"]["read_p99"]:
-            ratio = point["depth1"]["read_p99"] / point["async"]["read_p99"]
+    # the highest load (the last point) is the one pinned and headlined
+    fingerprint = _stack_fingerprint(stacks["async"])
+    fingerprint["depth1_now_ns"] = stacks["depth1"].clock.now_ns
     fingerprint["tails"] = tails
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": bytes_moved,
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {"p99_ratio_x": round(ratio, 1), "sweep": table},
-        "fingerprint": fingerprint,
-    }
+    async_p99 = point["async"]["read_p99"]
+    ratio = point["depth1"]["read_p99"] / async_p99 if async_p99 else 0.0
+    return Measured(
+        ops,
+        bytes_moved,
+        sim_elapsed_ns / 1e9,
+        fingerprint,
+        {"p99_ratio_x": round(ratio, 1), "sweep": table},
+    )
 
+
+# -- policy duels ------------------------------------------------------------
 
 #: the three registered policies the pressure duels compare: the paper's
 #: size-threshold default, the hotness-driven migrator, and the
 #: queue/health-fed pressure-aware policy this benchmark exists to judge
 _DUEL_POLICIES = ("tpfs", "hotcold", "pressure")
+
+#: the mirror duel adds the MOST policy to the exclusive-placement field
+_MIRROR_DUEL_POLICIES = ("tpfs", "pressure", "mirror")
 
 
 def _duel_stack(policy: str) -> Stack:
@@ -504,7 +484,53 @@ def _duel_stack(policy: str) -> Stack:
     )
 
 
-def _wl_trace_replay(smoke: bool) -> Dict[str, object]:
+def _policy_duel(
+    policies: Iterable[str],
+    make_stack: Callable[[str], Stack],
+    run: Callable[[Stack], Tuple[int, int, Dict[str, object]]],
+) -> Tuple[Dict[str, Dict[str, object]], Measured]:
+    """Run ``run(stack)`` on one fresh ``make_stack(policy)`` per policy.
+
+    The stacks differ only in policy and see the same offered load, so
+    the policy is the only treatment.  ``run`` returns ``(ops, bytes,
+    record)``; each policy's record, plus its final clock, is pinned in
+    the fingerprint.  The last policy is the one under test: its stack's
+    devices are pinned too, and its simulated time is reported.
+    """
+    records: Dict[str, Dict[str, object]] = {}
+    ops = bytes_moved = 0
+    for name in policies:
+        stack = make_stack(name)
+        sim0 = stack.clock.now_ns
+        done, moved, record = run(stack)
+        ops += done
+        bytes_moved += moved
+        records[name] = {"now_ns": stack.clock.now_ns, **record}
+    fingerprint = _stack_fingerprint(stack)
+    fingerprint["policies"] = records
+    sim_s = (stack.clock.now_ns - sim0) / 1e9
+    return records, Measured(ops, bytes_moved, sim_s, fingerprint)
+
+
+def _tail_row(record: Dict[str, object], *keys: str) -> Dict[str, object]:
+    """A policy's events row: read p99/p999 in µs plus ``keys`` verbatim."""
+    return {
+        "read_p99_us": round(record["read_p99"] / 1e3, 1),
+        "read_p999_us": round(record["read_p999"] / 1e3, 1),
+        **{key: record[key] for key in keys},
+    }
+
+
+def _replay_record(res) -> Dict[str, object]:
+    return {
+        **_tails(res),
+        "submitted": res.submitted,
+        "errors": res.errors,
+        "migrations": res.migrations_submitted,
+    }
+
+
+def _trace_replay(timed, smoke: bool) -> Measured:
     """Canonical bursty trace replayed head-to-head across policies.
 
     The checked-in ``benchmarks/traces/bursty.muxtrace`` (a zipf read
@@ -514,56 +540,23 @@ def _wl_trace_replay(smoke: bool) -> Dict[str, object]:
     pressure-aware stack's devices plus every policy's full latency
     table, so drift in any policy's placement trips the smoke guard.
     """
-    trace = load_canonical("bursty")
-    if smoke:
-        trace = trace.truncated(0.2)
-    wall = 0.0
-    ops = 0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
-    for name in _DUEL_POLICIES:
-        stack = _duel_stack(name)
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        res = replay_trace(
-            stack,
-            trace,
-            ring_depth=32,
-            maintain_every=256,
-            population_tier="ssd",
-        )
-        wall += time.perf_counter() - t0
-        ops += res.submitted
-        reads = res.percentiles_ns("read")
-        writes = res.percentiles_ns("write")
-        table[name] = {
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "read_p999_us": round(reads["p999"] / 1e3, 1),
-            "migrations": res.migrations_submitted,
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
-            **{f"read_{k}": v for k, v in reads.items()},
-            **{f"write_{k}": v for k, v in writes.items()},
-            "submitted": res.submitted,
-            "errors": res.errors,
-            "migrations": res.migrations_submitted,
-        }
-        if name == "pressure":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
-            fingerprint = _mux_fingerprint(stack)
-    fingerprint["policies"] = policies_fp
-    mix = trace.op_mix()
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": sum(op.length for op in trace.ops) * len(_DUEL_POLICIES),
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {"trace": "bursty", "op_mix": mix, "policies": table},
-        "fingerprint": fingerprint,
+    trace = load_canonical("bursty").truncated(0.2 if smoke else 1.0)
+    trace_bytes = sum(op.length for op in trace.ops)
+
+    def run(stack: Stack):
+        with timed:
+            res = replay_trace(
+                stack, trace, ring_depth=32, maintain_every=256, population_tier="ssd"
+            )
+        return res.submitted, trace_bytes, _replay_record(res)
+
+    records, measured = _policy_duel(_DUEL_POLICIES, _duel_stack, run)
+    measured.events = {
+        "trace": "bursty",
+        "op_mix": trace.op_mix(),
+        "policies": {name: _tail_row(r, "migrations") for name, r in records.items()},
     }
+    return measured
 
 
 def _duel_specs() -> List[TenantSpec]:
@@ -575,25 +568,19 @@ def _duel_specs() -> List[TenantSpec]:
     through independent per-tenant rings so per-tenant fairness is
     measurable against each tenant's isolated counterfactual.
     """
-    return [
+    readers = [
         TenantSpec(
-            "web",
+            name,
             mean_interarrival_ns=30_000,
             files=20,
             file_bytes=2 * MIB,
             io_bytes=16 * KIB,
             read_fraction=1.0,
             zipf_alpha=1.0,
-        ),
-        TenantSpec(
-            "api",
-            mean_interarrival_ns=30_000,
-            files=20,
-            file_bytes=2 * MIB,
-            io_bytes=16 * KIB,
-            read_fraction=1.0,
-            zipf_alpha=1.0,
-        ),
+        )
+        for name in ("web", "api")
+    ]
+    return readers + [
         TenantSpec(
             "log",
             mean_interarrival_ns=125_000,
@@ -609,7 +596,7 @@ def _duel_specs() -> List[TenantSpec]:
     ]
 
 
-def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
+def _tenant_policy_duel(timed, smoke: bool) -> Measured:
     """Multi-tenant policy duel plus per-tenant fairness slowdowns.
 
     The same open-loop three-tenant schedule runs against one stack per
@@ -620,81 +607,46 @@ def _wl_tenant_policy_duel(smoke: bool) -> Dict[str, object]:
     """
     duration_ns = 12_000_000 if smoke else 60_000_000
     specs = _duel_specs()
-    wall = 0.0
-    ops = 0
-    bytes_moved = 0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
 
-    def _run(stack: Stack):
-        return run_multi_tenant(
-            stack,
+    def run(stack: Stack):
+        with timed:
+            res = run_multi_tenant(
+                stack,
+                specs,
+                duration_ns=duration_ns,
+                ring_depth=32,
+                population_tier=stack.tier_ids["ssd"],
+                maintain_every=256,
+                durable_population=True,
+            )
+        record = {**_tails(res), "migrations": res.migrations_submitted}
+        return res.completed_ops, _tenant_bytes(specs, res), record
+
+    records, measured = _policy_duel(_DUEL_POLICIES, _duel_stack, run)
+    # fairness for the winner: shared tail over isolated counterfactual
+    with timed:
+        _, fairness = fairness_slowdowns(
+            lambda: _duel_stack("pressure"),
             specs,
             duration_ns=duration_ns,
             ring_depth=32,
-            population_tier=stack.tier_ids["ssd"],
+            population_tier_name="ssd",
             maintain_every=256,
             durable_population=True,
         )
-
-    for name in _DUEL_POLICIES:
-        stack = _duel_stack(name)
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        res = _run(stack)
-        wall += time.perf_counter() - t0
-        ops += res.completed_ops
-        bytes_moved += sum(
-            t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values())
-        )
-        reads = res.percentiles_ns("read")
-        table[name] = {
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "read_p999_us": round(reads["p999"] / 1e3, 1),
-            "migrations": res.migrations_submitted,
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
-            **{f"read_{k}": v for k, v in reads.items()},
-            **{f"write_{k}": v for k, v in res.percentiles_ns("write").items()},
-            "migrations": res.migrations_submitted,
-        }
-        if name == "pressure":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
-            fingerprint = _mux_fingerprint(stack)
-
-    # fairness for the winner: shared tail over isolated counterfactual
-    t0 = time.perf_counter()
-    _, fairness = fairness_slowdowns(
-        lambda: _duel_stack("pressure"),
-        specs,
-        duration_ns=duration_ns,
-        ring_depth=32,
-        population_tier_name="ssd",
-        maintain_every=256,
-        durable_population=True,
-    )
-    wall += time.perf_counter() - t0
-    slowdowns = {
-        name: round(slowdown_x(entry), 2)
-        for name, entry in fairness.items()
-        if entry["isolated_p99_ns"]
+    measured.fingerprint["fairness"] = fairness
+    measured.events = {
+        "policies": {name: _tail_row(r, "migrations") for name, r in records.items()},
+        "fairness_slowdown_x": {
+            name: round(slowdown_x(entry), 2)
+            for name, entry in fairness.items()
+            if entry["isolated_p99_ns"]
+        },
     }
-    fingerprint["policies"] = policies_fp
-    fingerprint["fairness"] = fairness
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": bytes_moved,
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {"policies": table, "fairness_slowdown_x": slowdowns},
-        "fingerprint": fingerprint,
-    }
+    return measured
 
 
-def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
+def _mirror_skew(timed, smoke: bool) -> Measured:
     """Mirror-optimized tiering vs exclusive placement on skewed reads.
 
     A zipf read stream hammers a working set that starts *cold on the
@@ -710,117 +662,74 @@ def _wl_mirror_skew(smoke: bool) -> Dict[str, object]:
     files, file_bytes, io_bytes = 56, 1 * MIB, 16 * KIB
     warm_reads, measured_reads = (2500, 1000) if smoke else (5000, 2500)
     maintain_every = 100
-    wall = 0.0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
-    p99_by_policy: Dict[str, int] = {}
-    for name in ("pressure", "mirror"):
+
+    def make_stack(policy: str) -> Stack:
         # two tiers, and an HDD small enough that its page cache (10%
         # of the device) cannot swallow whatever the policy leaves
         # behind: placement, not DRAM, decides the read tail
-        stack = build_stack(
+        return build_stack(
             tiers=["pm", "hdd"],
             capacities={"hdd": 128 * MIB},
-            policy=name,
+            policy=policy,
             enable_cache=False,
         )
+
+    def run(stack: Stack):
         mux = stack.mux
-        hdd = stack.tier_ids["hdd"]
-        mux.mkdir("/skew")
-        payload = b"\x6b" * file_bytes
-        handles = []
-        for i in range(files):
-            path = f"/skew/f{i}"
-            mux.close(mux.create(path))
-            mux.set_placement(path, hdd)
-            mux.write_file(path, payload)
-            mux.set_placement(path, None)
-            handle = mux.open(path)
-            mux.fsync(handle)
-            handles.append(handle)
+        handles = populate(stack, "/skew", files, file_bytes, "hdd")
         # the population leaves every block clean in the HDD file
         # system's page cache (it is 10% of the device — the whole
         # working set fits); drop it so the measured stream starts
         # against cold media, the tiered-storage shape under test
-        for fs in stack.filesystems.values():
-            cache = getattr(fs, "page_cache", None)
-            if cache is not None:
-                cache.drop_clean()
+        drop_clean_page_caches(stack)
         rng = DeterministicRng(11).fork("mirror-skew")
         # mild skew across files (every file stays warm enough to earn
         # placement), sharper skew within each file's blocks
         file_cdf = _zipf_cdf(files, 0.5)
         block_cdf = _zipf_cdf(file_bytes // io_bytes, 1.1)
         hist = LatencyHistogram()
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        for index in range(warm_reads + measured_reads):
-            if index and index % maintain_every == 0:
-                mux.maintain_async()
-            mux.engine.tick()
-            mux.mirrors.tick()
-            fid = _zipf_pick(rng, file_cdf)
-            offset = _zipf_pick(rng, block_cdf) * io_bytes
-            if index == warm_reads:
-                # settle between the phases: converge in-flight
-                # migrations and mirror syncs so the measured window
-                # sees each policy's steady-state placement, not the
-                # transient cost of reaching it
-                mux.maintain_async()
-                mux.engine.drain()
-                mux.mirrors.drain()
-            s0 = stack.clock.now_ns
-            mux.read(handles[fid], offset, io_bytes)
-            if index >= warm_reads:
-                hist.record(stack.clock.now_ns - s0)
-        wall += time.perf_counter() - t0
+        with timed:
+            for index in range(warm_reads + measured_reads):
+                maintenance_tick(mux, index, maintain_every)
+                fid = _zipf_pick(rng, file_cdf)
+                offset = _zipf_pick(rng, block_cdf) * io_bytes
+                if index == warm_reads:
+                    settle(mux)  # between the warm and measured phases
+                s0 = stack.clock.now_ns
+                mux.read(handles[fid], offset, io_bytes)
+                if index >= warm_reads:
+                    hist.record(stack.clock.now_ns - s0)
         for handle in handles:
             mux.close(handle)
-        reads = hist.percentiles_ns(0.5, 0.99, 0.999)
-        p99_by_policy[name] = reads["p99"]
-        table[name] = {
-            "read_p50_us": round(reads["p50"] / 1e3, 1),
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "reads_from_mirror": mux.stats.get("reads_from_mirror"),
-            "mirror_blocks_synced": mux.mirrors.stats.get("blocks_synced"),
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
-            **{f"read_{k}": v for k, v in reads.items()},
+        reads = warm_reads + measured_reads
+        record = {
+            **{f"read_{k}": v for k, v in hist.percentiles_ns(0.5, 0.99, 0.999).items()},
             "reads_from_mirror": mux.stats.get("reads_from_mirror"),
             "blocks_synced": mux.mirrors.stats.get("blocks_synced"),
             "deadline_promotions": mux.mirrors.stats.get("deadline_promotions"),
         }
-        if name == "mirror":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
-            fingerprint = _mux_fingerprint(stack)
-    fingerprint["policies"] = policies_fp
-    ratio = (
-        p99_by_policy["pressure"] / p99_by_policy["mirror"]
-        if p99_by_policy.get("mirror")
-        else 0.0
-    )
-    return {
-        "wall_s": wall,
-        "ops": 2 * (warm_reads + measured_reads),
-        "bytes": 2 * (warm_reads + measured_reads) * io_bytes,
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {
-            "population": "hdd-cold",
-            "policies": table,
-            "read_p99_ratio_x": round(ratio, 1),
+        return reads, reads * io_bytes, record
+
+    records, measured = _policy_duel(("pressure", "mirror"), make_stack, run)
+    mirrored_p99 = records["mirror"]["read_p99"]
+    ratio = records["pressure"]["read_p99"] / mirrored_p99 if mirrored_p99 else 0.0
+    measured.events = {
+        "population": "hdd-cold",
+        "policies": {
+            name: {
+                "read_p50_us": round(rec["read_p50"] / 1e3, 1),
+                "read_p99_us": round(rec["read_p99"] / 1e3, 1),
+                "reads_from_mirror": rec["reads_from_mirror"],
+                "mirror_blocks_synced": rec["blocks_synced"],
+            }
+            for name, rec in records.items()
         },
-        "fingerprint": fingerprint,
+        "read_p99_ratio_x": round(ratio, 1),
     }
+    return measured
 
 
-#: the mirror duel adds the MOST policy to the exclusive-placement field
-_MIRROR_DUEL_POLICIES = ("tpfs", "pressure", "mirror")
-
-
-def _wl_mirror_trace_duel(smoke: bool) -> Dict[str, object]:
+def _mirror_trace_duel(timed, smoke: bool) -> Measured:
     """Canonical read-heavy zipf trace: mirrored vs exclusive placement.
 
     The same open-loop replay as ``trace_replay``, but on the canonical
@@ -838,112 +747,72 @@ def _wl_mirror_trace_duel(smoke: bool) -> Dict[str, object]:
     improvement over the best exclusive policy; the fingerprint pins the
     mirrored stack's devices and every policy's full latency table.
     """
-    trace = load_canonical("zipf")
-    if smoke:
-        trace = trace.truncated(0.2)
-    wall = 0.0
-    ops = 0
-    sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
-    policies_fp: Dict[str, object] = {}
-    table: Dict[str, object] = {}
-    p99s: Dict[str, int] = {}
-    p999s: Dict[str, int] = {}
-    for name in _MIRROR_DUEL_POLICIES:
-        stack = _duel_stack(name)
-        sim0 = stack.clock.now_ns
-        t0 = time.perf_counter()
-        res = replay_trace(
-            stack,
-            trace,
-            ring_depth=32,
-            maintain_every=64,
-            population_tier="hdd",
-            warm_passes=1,
-            drop_page_caches=True,
-        )
-        wall += time.perf_counter() - t0
-        ops += res.submitted
-        reads = res.percentiles_ns("read")
-        writes = res.percentiles_ns("write")
-        p99s[name] = reads["p99"]
-        p999s[name] = reads["p999"]
-        table[name] = {
-            "read_p99_us": round(reads["p99"] / 1e3, 1),
-            "read_p999_us": round(reads["p999"] / 1e3, 1),
-            "migrations": res.migrations_submitted,
-            "reads_from_mirror": stack.mux.stats.get("reads_from_mirror"),
-        }
-        policies_fp[name] = {
-            "now_ns": stack.clock.now_ns,
-            **{f"read_{k}": v for k, v in reads.items()},
-            **{f"write_{k}": v for k, v in writes.items()},
-            "submitted": res.submitted,
-            "errors": res.errors,
-            "migrations": res.migrations_submitted,
+    trace = load_canonical("zipf").truncated(0.2 if smoke else 1.0)
+    trace_bytes = sum(op.length for op in trace.ops)
+
+    def run(stack: Stack):
+        with timed:
+            res = replay_trace(
+                stack,
+                trace,
+                ring_depth=32,
+                maintain_every=64,
+                population_tier="hdd",
+                warm_passes=1,
+                drop_page_caches=True,
+            )
+        record = {
+            **_replay_record(res),
             "reads_from_mirror": stack.mux.stats.get("reads_from_mirror"),
             "blocks_synced": stack.mux.mirrors.stats.get("blocks_synced"),
         }
-        if name == "mirror":
-            sim_elapsed_ns = stack.clock.now_ns - sim0
-            fingerprint = _mux_fingerprint(stack)
-    fingerprint["policies"] = policies_fp
-    best_exclusive_p99 = min(p99s[n] for n in ("tpfs", "pressure"))
-    best_exclusive_p999 = min(p999s[n] for n in ("tpfs", "pressure"))
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": sum(op.length for op in trace.ops) * len(_MIRROR_DUEL_POLICIES),
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {
-            "trace": "zipf",
-            "population": "hdd-cold",
-            "policies": table,
-            "read_p99_vs_exclusive_x": round(
-                best_exclusive_p99 / p99s["mirror"], 1
-            )
-            if p99s["mirror"]
-            else 0.0,
-            "read_p999_vs_exclusive_x": round(
-                best_exclusive_p999 / p999s["mirror"], 1
-            )
-            if p999s["mirror"]
-            else 0.0,
+        return res.submitted, trace_bytes, record
+
+    records, measured = _policy_duel(_MIRROR_DUEL_POLICIES, _duel_stack, run)
+
+    def vs_exclusive(key: str) -> float:
+        mirrored = records["mirror"][key]
+        best_exclusive = min(records[n][key] for n in ("tpfs", "pressure"))
+        return round(best_exclusive / mirrored, 1) if mirrored else 0.0
+
+    measured.events = {
+        "trace": "zipf",
+        "population": "hdd-cold",
+        "policies": {
+            name: _tail_row(rec, "migrations", "reads_from_mirror")
+            for name, rec in records.items()
         },
-        "fingerprint": fingerprint,
+        "read_p99_vs_exclusive_x": vs_exclusive("read_p99"),
+        "read_p999_vs_exclusive_x": vs_exclusive("read_p999"),
     }
+    return measured
 
 
-def _wl_strata_fileserver(smoke: bool) -> Dict[str, object]:
+# -- other substrates ----------------------------------------------------------
+
+
+def _strata_fileserver(timed, smoke: bool) -> Measured:
     files, ops = (8, 100) if smoke else (20, 300)
     strata = build_strata()
-    t0 = time.perf_counter()
-    res = fileserver(strata.fs, strata.clock, files=files, operations=ops)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": res.operations,
-        "bytes": 0,
-        "sim_elapsed_s": res.elapsed_s,
-        "fingerprint": _strata_fingerprint(strata.clock, strata.devices),
-    }
+    with timed:
+        res = fileserver(strata.fs, strata.clock, files=files, operations=ops)
+    fingerprint = sim_fingerprint(strata.clock, strata.devices, [])
+    return Measured(res.operations, 0, res.elapsed_s, fingerprint)
 
 
-def _wl_crash_matrix(smoke: bool) -> Dict[str, object]:
+def _crash_matrix(timed, smoke: bool) -> Measured:
     """Crash-state explorer as a drift guard: the census point count, the
     per-label histogram and the summed post-recovery clocks must all be
     bit-stable, and every explored state must still recover cleanly."""
     from repro.tools.crashexplore import explore
 
-    t0 = time.perf_counter()
-    report = explore(smoke=smoke)
-    wall = time.perf_counter() - t0
-    return {
-        "wall_s": wall,
-        "ops": report["states_explored"],
-        "bytes": 0,
-        "sim_elapsed_s": report["clock_sum_ns"] / 1e9,
-        "fingerprint": {
+    with timed:
+        report = explore(smoke=smoke)
+    return Measured(
+        report["states_explored"],
+        0,
+        report["clock_sum_ns"] / 1e9,
+        {
             "now_ns": report["clock_sum_ns"],
             "devices": {},
             "cache": {},
@@ -953,29 +822,10 @@ def _wl_crash_matrix(smoke: bool) -> Dict[str, object]:
             "failures": len(report["failures"]),
             "lost_intervals": report["lost_intervals_reported"],
         },
-    }
+    )
 
 
-def _cluster_fingerprint(cluster) -> Dict[str, object]:
-    """Simulated fingerprint of a whole cluster: per-shard devices with
-    ``s<N>.`` prefixes plus summed cache counters, same shape as
-    :func:`_mux_fingerprint` so ``compare_fingerprints`` needs no changes."""
-    devices: Dict[str, object] = {}
-    hit = miss = 0
-    for shard in cluster.shards:
-        for name, dev in sorted(shard.stack.devices.items()):
-            devices[f"s{shard.shard_id}.{name}"] = dev.stats.snapshot()
-        if shard.mux.cache is not None:
-            hit += shard.mux.cache.stats.get("hit")
-            miss += shard.mux.cache.stats.get("miss")
-    return {
-        "now_ns": cluster.clock.now_ns,
-        "devices": devices,
-        "cache": {"hit": hit, "miss": miss},
-    }
-
-
-def _cluster_specs(names: List[str], load: float = 1.0) -> List[TenantSpec]:
+def _cluster_specs(names: List[str]) -> List[TenantSpec]:
     """Durability-bound tenants: the shape that makes one Mux the
     bottleneck and therefore makes sharding pay.  Every write burst
     fsyncs (the database/logger pattern), so its cost is an HDD journal
@@ -984,7 +834,7 @@ def _cluster_specs(names: List[str], load: float = 1.0) -> List[TenantSpec]:
     return [
         TenantSpec(
             name=name,
-            mean_interarrival_ns=round(25_000 / load),
+            mean_interarrival_ns=25_000,
             files=4,
             file_bytes=128 * KIB,
             io_bytes=4 * KIB,
@@ -996,7 +846,7 @@ def _cluster_specs(names: List[str], load: float = 1.0) -> List[TenantSpec]:
     ]
 
 
-def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
+def _cluster_scaleout(timed, smoke: bool) -> Measured:
     """Sharded ClusterMux scaling + hotspot-rebalance recovery.
 
     Phase 1 replays one open-loop HDD-bound schedule (cache off,
@@ -1029,11 +879,9 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         # shard itself the bottleneck, which is what sharding must fix.
         return build_cluster(shards=n, tiers=["hdd"], enable_cache=False)
 
-    wall = 0.0
     ops = 0
     bytes_moved = 0
     sim_elapsed_ns = 0
-    fingerprint: Dict[str, object] = {}
     table: Dict[str, object] = {}
     scaling_fp: Dict[str, object] = {}
     throughput: Dict[int, float] = {}
@@ -1047,16 +895,13 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         cluster = make_cluster(n).mux
         hdd = cluster.shards[0].stack.tier_ids["hdd"]
         sim0 = cluster.clock.now_ns
-        t0 = time.perf_counter()
-        res, makespan_ns = run_cluster_load(
-            cluster, specs, duration_ns=duration_ns, ring_depth=8,
-            population_tier=hdd,
-        )
-        wall += time.perf_counter() - t0
+        with timed:
+            res, makespan_ns = run_cluster_load(
+                cluster, specs, duration_ns=duration_ns, ring_depth=8,
+                population_tier=hdd,
+            )
         ops += res.completed_ops
-        bytes_moved += sum(
-            t.ops * spec.io_bytes for spec, t in zip(specs, res.tenants.values())
-        )
+        bytes_moved += _tenant_bytes(specs, res)
         throughput[n] = res.completed_ops * 1e9 / makespan_ns
         reads = res.percentiles_ns("read")
         table[f"shards_{n}"] = {
@@ -1068,9 +913,17 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
             "completed": res.completed_ops,
             **{f"read_{k}": v for k, v in reads.items()},
         }
-        if n == shard_counts[-1]:
-            sim_elapsed_ns += cluster.clock.now_ns - sim0
-            fingerprint = _cluster_fingerprint(cluster)
+    # the largest cluster is the one pinned, its devices by shard
+    sim_elapsed_ns += cluster.clock.now_ns - sim0
+    fingerprint = sim_fingerprint(
+        cluster.clock,
+        {
+            f"s{shard.shard_id}.{name}": dev
+            for shard in cluster.shards
+            for name, dev in shard.stack.devices.items()
+        },
+        [shard.mux.cache for shard in cluster.shards],
+    )
     scaling_x = throughput[shard_counts[-1]] / throughput[1]
 
     # -- phase 2: hotspot + rebalance -----------------------------------
@@ -1081,17 +934,16 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
     )
     hot_specs = _cluster_specs(hot_names)
     sim0 = cluster.clock.now_ns
-    t0 = time.perf_counter()
-    hot_res, hot_span = run_cluster_load(
-        cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
-        population_tier=hdd,
-    )
-    moved = cluster.rebalance(max_moves=tenant_count - 2)
-    cold_res, cold_span = run_cluster_load(
-        cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
-        population_tier=hdd,
-    )
-    wall += time.perf_counter() - t0
+    with timed:
+        hot_res, hot_span = run_cluster_load(
+            cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
+            population_tier=hdd,
+        )
+        moved = cluster.rebalance(max_moves=tenant_count - 2)
+        cold_res, cold_span = run_cluster_load(
+            cluster, hot_specs, duration_ns=duration_ns, ring_depth=8,
+            population_tier=hdd,
+        )
     sim_elapsed_ns += cluster.clock.now_ns - sim0
     ops += hot_res.completed_ops + cold_res.completed_ops
     hot_p99 = hot_res.percentiles_ns("read")["p99"]
@@ -1108,12 +960,12 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
         "bytes_moved": moved["bytes_moved"],
         "final_now_ns": cluster.clock.now_ns,
     }
-    return {
-        "wall_s": wall,
-        "ops": ops,
-        "bytes": bytes_moved + moved["bytes_moved"],
-        "sim_elapsed_s": sim_elapsed_ns / 1e9,
-        "events": {
+    return Measured(
+        ops,
+        bytes_moved + moved["bytes_moved"],
+        sim_elapsed_ns / 1e9,
+        fingerprint,
+        {
             "scaling_x": round(scaling_x, 2),
             "sweep": table,
             "hot_read_p99_us": round(hot_p99 / 1e3, 1),
@@ -1121,36 +973,45 @@ def _wl_cluster_scaleout(smoke: bool) -> Dict[str, object]:
             "p99_recovery_x": round(hot_p99 / cold_p99, 2) if cold_p99 else 0.0,
             "subtrees_moved": moved["moves"],
         },
-        "fingerprint": fingerprint,
-    }
+    )
 
 
-WORKLOADS: List[Tuple[str, Callable[[bool], Dict[str, object]]]] = [
-    ("seq_write", _wl_seq_write),
-    ("seq_read", _wl_seq_read),
-    ("hot_set_reads", _wl_hot_set),
-    ("fileserver", _wl_fileserver),
-    ("webserver", _wl_webserver),
-    ("varmail", _wl_varmail),
-    ("metadata_churn", _wl_metadata_churn),
-    ("migration_churn", _wl_migration_churn),
-    ("fault_storm", _wl_fault_storm),
-    ("cache_writeback", _wl_cache_writeback),
-    ("parallel_stripe", _wl_parallel_stripe),
-    ("multi_tenant", _wl_multi_tenant),
-    ("trace_replay", _wl_trace_replay),
-    ("tenant_policy_duel", _wl_tenant_policy_duel),
-    ("strata_fileserver", _wl_strata_fileserver),
-    ("crash_matrix", _wl_crash_matrix),
-    ("mirror_skew", _wl_mirror_skew),
-    ("mirror_trace_duel", _wl_mirror_trace_duel),
-    ("cluster_scaleout", _wl_cluster_scaleout),
-]
+#: every workload, in run order; wallclock and profile both read this
+WORKLOADS: Dict[str, Body] = {
+    "seq_write": _seq_write,
+    "seq_read": _seq_read,
+    "hot_set_reads": _hot_set_reads,
+    "fileserver": _fileserver,
+    "webserver": _webserver,
+    "varmail": _varmail,
+    "metadata_churn": _metadata_churn,
+    "migration_churn": _migration_churn,
+    "fault_storm": _fault_storm,
+    "cache_writeback": _cache_writeback,
+    "parallel_stripe": _parallel_stripe,
+    "multi_tenant": _multi_tenant,
+    "trace_replay": _trace_replay,
+    "tenant_policy_duel": _tenant_policy_duel,
+    "strata_fileserver": _strata_fileserver,
+    "crash_matrix": _crash_matrix,
+    "mirror_skew": _mirror_skew,
+    "mirror_trace_duel": _mirror_trace_duel,
+    "cluster_scaleout": _cluster_scaleout,
+}
 
 
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
+
+
+def run_workload(name: str, smoke: bool) -> Dict[str, object]:
+    """One rep of workload ``name``: host seconds of its measured sections,
+    its ops/bytes/simulated seconds, events (if any) and fingerprint."""
+    timed = _Stopwatch()
+    fields = vars(WORKLOADS[name](timed, smoke))
+    # workloads without events report none
+    return {"wall_s": timed.wall_s, **{k: v for k, v in fields.items() if v is not None}}
 
 
 def run_workloads(smoke: bool, reps: Optional[int] = None) -> Dict[str, Dict[str, object]]:
@@ -1161,21 +1022,17 @@ def run_workloads(smoke: bool, reps: Optional[int] = None) -> Dict[str, Dict[str
     """
     reps = reps if reps is not None else (SMOKE_REPS if smoke else FULL_REPS)
     out: Dict[str, Dict[str, object]] = {}
-    for name, fn in WORKLOADS:
-        best: Optional[Dict[str, object]] = None
-        fingerprint = None
-        for rep in range(reps):
-            result = fn(smoke)
-            if fingerprint is None:
-                fingerprint = result["fingerprint"]
-            elif result["fingerprint"] != fingerprint:
+    for name in WORKLOADS:
+        best = run_workload(name, smoke)
+        for rep in range(1, reps):
+            result = run_workload(name, smoke)
+            if result["fingerprint"] != best["fingerprint"]:
                 raise RuntimeError(
                     f"workload {name!r} rep {rep} produced a different simulated "
                     f"fingerprint — the stack is not deterministic"
                 )
-            if best is None or result["wall_s"] < best["wall_s"]:
+            if result["wall_s"] < best["wall_s"]:
                 best = result
-        assert best is not None
         ops = best["ops"]
         best["ops_per_host_s"] = (
             round(ops / best["wall_s"], 1) if best["wall_s"] > 0 and ops else 0.0
@@ -1183,29 +1040,6 @@ def run_workloads(smoke: bool, reps: Optional[int] = None) -> Dict[str, Dict[str
         best["wall_s"] = round(best["wall_s"], 4)
         out[name] = best
     return out
-
-
-def compare_fingerprints(
-    golden: Dict[str, object], observed: Dict[str, object]
-) -> List[str]:
-    """Human-readable list of differences (empty == identical)."""
-    diffs: List[str] = []
-    if golden.get("now_ns") != observed.get("now_ns"):
-        diffs.append(f"now_ns: golden={golden.get('now_ns')} got={observed.get('now_ns')}")
-    gdev = golden.get("devices", {})
-    odev = observed.get("devices", {})
-    for dev in sorted(set(gdev) | set(odev)):
-        g, o = gdev.get(dev, {}), odev.get(dev, {})
-        for key in sorted(set(g) | set(o)):
-            if g.get(key) != o.get(key):
-                diffs.append(f"{dev}.{key}: golden={g.get(key)} got={o.get(key)}")
-    if golden.get("cache") != observed.get("cache"):
-        diffs.append(f"cache: golden={golden.get('cache')} got={observed.get('cache')}")
-    # workload-specific extras (e.g. parallel_stripe's serial_now_ns)
-    for key in sorted((set(golden) | set(observed)) - {"now_ns", "devices", "cache"}):
-        if golden.get(key) != observed.get(key):
-            diffs.append(f"{key}: golden={golden.get(key)} got={observed.get(key)}")
-    return diffs
 
 
 # ---------------------------------------------------------------------------
@@ -1286,7 +1120,8 @@ def _run_smoke(out_path: str) -> int:
     failures = 0
     for name, result in observed.items():
         if name not in golden:
-            print(f"  {name}: SKIP (no golden recorded)")
+            failures += 1
+            print(f"  {name}: FAIL (no golden recorded)")
             continue
         diffs = compare_fingerprints(golden[name], result["fingerprint"])
         if diffs:
@@ -1296,33 +1131,29 @@ def _run_smoke(out_path: str) -> int:
                 print(f"    {d}")
         else:
             print(f"  {name}: ok (wall={result['wall_s']:.3f}s)")
+    for name in sorted(set(golden) - set(observed)):
+        failures += 1
+        print(f"  {name}: FAIL (golden recorded for an unregistered workload)")
     total = time.perf_counter() - t0
     print(f"wallclock --smoke: {len(observed)} workloads in {total:.1f}s host time")
     if failures:
-        print(f"wallclock --smoke: {failures} workload(s) drifted from golden")
+        print(f"wallclock --smoke: {failures} workload(s) failed the golden check")
         return 1
     print("wallclock --smoke: simulated time matches golden values")
     return 0
 
 
-def _flag_value(argv: List[str], flag: str) -> Optional[str]:
-    if flag not in argv:
-        return None
-    idx = argv.index(flag)
-    if idx + 1 >= len(argv) or argv[idx + 1].startswith("--"):
-        print(f"wallclock: {flag} requires a file path", file=sys.stderr)
-        raise SystemExit(2)
-    return argv[idx + 1]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in argv
-    out_path = _flag_value(argv, "--out") or DEFAULT_OUT
-    before_path = _flag_value(argv, "--before")
-    if smoke:
-        return _run_smoke(out_path)
-    return _run_full(out_path, before_path)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench wallclock", add_help=False
+    )
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--out", default=DEFAULT_OUT)
+    parser.add_argument("--before")
+    args = parser.parse_args(argv)
+    if args.smoke:
+        return _run_smoke(args.out)
+    return _run_full(args.out, args.before)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.blt import ReplicaSet
 from repro.core.metadata import CollectiveInode
-from repro.errors import FileNotFound, TierUnavailable
+from repro.errors import FileNotFound, NoSpace, TierUnavailable
 from repro.sim.stats import CounterSet
 
 
@@ -308,10 +308,11 @@ class MirrorEngine:
                             inode, src, run_start * bs, want
                         )
                         self._media_write(inode, tier_id, run_start * bs, data)
-                    except TierUnavailable:
-                        # source or mirror died mid-copy: stay stale, a
-                        # later tick retries once health recovers
-                        self.stats.add("sync_skipped_offline")
+                    except (NoSpace, TierUnavailable) as exc:
+                        # source or mirror died mid-copy, or the mirror
+                        # tier is full: stay stale, a later tick retries
+                        # once health or space recovers
+                        self.stats.add(_skip_counter(exc))
                         failed = True
                         break
                     copied.append((run_start, run_len))
@@ -319,8 +320,8 @@ class MirrorEngine:
             if copied:
                 try:
                     mux.tier_fsync(inode, tier_id)
-                except TierUnavailable:
-                    self.stats.add("sync_skipped_offline")
+                except (NoSpace, TierUnavailable) as exc:
+                    self.stats.add(_skip_counter(exc))
                     return 0  # nothing durable: every interval stays stale
                 for run_start, run_len in copied:
                     replicas.mark_synced(tier_id, run_start, run_len)
@@ -355,3 +356,10 @@ def _subtract(
     if pos < end:
         out.append((pos, end - pos))
     return out
+
+
+def _skip_counter(exc: Exception) -> str:
+    """The stat a sync skipped by ``exc`` is counted under."""
+    if isinstance(exc, NoSpace):
+        return "sync_skipped_no_space"
+    return "sync_skipped_offline"

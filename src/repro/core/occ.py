@@ -178,13 +178,16 @@ class OccSynchronizer:
             # -- copy phase (yields between chunks) --------------------------
             try:
                 yield from self._copy_runs(inode, targets, src_tier, dst_tier)
-            except (NoSpace, TierUnavailable) as exc:
-                # destination full or a tier failed hard: abort safely —
-                # nothing committed yet, so user data still lives (only)
-                # on the source
+            except (NoSpace, TierUnavailable, GeneratorExit) as exc:
+                # destination full, a tier failed hard, or the caller
+                # closed the copy (a paced migration giving up): abort
+                # safely — nothing committed yet, so user data still
+                # lives (only) on the source
                 inode.version += 1
                 inode.migration_active = False
                 inode.dirty_during_migration.clear()
+                if isinstance(exc, GeneratorExit):
+                    raise
                 if isinstance(exc, TierUnavailable):
                     result.gave_up = True
                     self.stats.add("fault_aborts")

@@ -19,7 +19,7 @@ timeline gauges, making the signals bit-deterministic across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,6 @@ class PressureMonitor:
         self._dirty_tier = tier_id
         self._dirty_fn = fn
 
-    def tracked_tiers(self) -> List[int]:
-        return sorted(self._tiers)
-
     # -- sampling ----------------------------------------------------------
 
     def sample(self, now_ns: int, force: bool = False) -> None:
@@ -165,10 +162,6 @@ class PressureMonitor:
             )
 
     # -- reading -----------------------------------------------------------
-
-    def pressure_of(self, tier_id: int) -> Optional[TierPressure]:
-        g = self._tiers.get(tier_id)
-        return g.snapshot_obj if g is not None else None
 
     def load_of(self, tier_id: int) -> float:
         """Current load signal for one tier (0.0 when untracked)."""

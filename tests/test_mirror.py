@@ -474,6 +474,38 @@ class TestPacingAndDeadline:
         assert mux.read(handle, 0, 16 * BS) == pattern(16 * BS)
         mux.close(handle)
 
+    def test_full_mirror_tier_stays_stale_without_raising(self):
+        # four 2 MiB mirrors cannot all fit a 4 MiB PM tier: the sync
+        # that runs out of space must leave its intervals stale
+        stack = build_stack(
+            tiers=["pm", "hdd"], capacities={"pm": 4 * MIB}, enable_cache=False
+        )
+        mux = stack.mux
+        pm, hdd = stack.tier_ids["pm"], stack.tier_ids["hdd"]
+        inodes = []
+        for i in range(4):
+            path = f"/f{i}"
+            handle = mux.create(path)
+            mux.set_placement(path, hdd)
+            mux.write(handle, 0, pattern(2 * MIB, i))
+            mux.fsync(handle)
+            mux.close(handle)
+            inode = mux.ns.resolve(path)
+            mux.mirrors.add_mirror(inode, pm)
+            inodes.append(inode)
+        synced = sum(mux.mirrors.tick() for _ in range(64))
+        assert mux.mirrors.stats.get("sync_skipped_no_space") > 0
+        stale = sum(inode.replicas.stale_blocks() for inode in inodes)
+        assert stale == 4 * 512 - synced
+        assert 0 < stale < 4 * 512
+        # the background frame was popped: time is back on the global clock
+        assert stack.clock.now_ns == stack.clock.global_now_ns
+        for i in range(4):
+            handle = mux.open(f"/f{i}")
+            assert mux.read(handle, 0, 2 * MIB) == pattern(2 * MIB, i)
+            mux.close(handle)
+        assert fsck.check_mux(mux) == []
+
 
 # ---------------------------------------------------------------------------
 # fsck replica-divergence audit (injected corruption)

@@ -129,10 +129,10 @@ class TestAsyncVsSerialized:
 
 class TestWallclockWorkload:
     def test_smoke_profile_shape(self):
-        from repro.bench.wallclock import WORKLOADS, _wl_multi_tenant
+        from repro.bench.wallclock import WORKLOADS, run_workload
 
-        assert any(name == "multi_tenant" for name, _ in WORKLOADS)
-        result = _wl_multi_tenant(smoke=True)
+        assert "multi_tenant" in WORKLOADS
+        result = run_workload("multi_tenant", smoke=True)
         fp = result["fingerprint"]
         assert "depth1_now_ns" in fp
         assert "load_1x" in fp["tails"]

@@ -224,3 +224,43 @@ class TestEngineBookkeeping:
         assert ticks > 0
         inode = mux.ns.get(handle.ino)
         assert inode.blt.blocks_on(stack.tier_id("ssd")) == 16
+
+
+class TestClosedCopy:
+    """A copy closed mid-flight aborts like any other OCC abort."""
+
+    def test_closed_copy_clears_migration_flag(self, env):
+        from repro.tools.fsck import check_mux
+
+        stack, mux, handle = env
+        inode = mux.ns.get(handle.ino)
+        v0 = inode.version
+        copy = mux.engine._run_tracked(inode, order(stack, handle))
+        next(copy)
+        assert inode.migration_active
+        copy.close()
+        assert not inode.migration_active
+        assert inode.version == v0 + 2
+        assert check_mux(mux) == []
+
+    def test_paced_defer_abort_clears_migration_flag(self, env):
+        from repro.tools.fsck import check_mux
+
+        stack, mux, handle = env
+        # two copy chunks, so the pacer can stall between them
+        blocks = 2 * cal.MIGRATION_CHUNK_BLOCKS
+        mux.write(handle, 0, b"\x33" * blocks * BS)
+        inode = mux.ns.get(handle.ino)
+        task = mux.engine.submit(
+            order(stack, handle, count=blocks), defer_while_hot=True
+        )
+        task.step()
+        assert inode.migration_active
+        # the tiers turn hot mid-copy: the pacer stalls until it gives up
+        mux.pressure.instant_load_of = lambda tier_id, now_ns: 5.0
+        while not task.done:
+            task.step()
+        assert mux.engine.stats.get("defer_aborts") == 1
+        assert not inode.migration_active
+        assert check_mux(mux) == []
+        assert mux.read(handle, 0, blocks * BS) == b"\x33" * blocks * BS
