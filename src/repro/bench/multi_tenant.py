@@ -21,6 +21,11 @@ judged against.
 Per-tenant latencies aggregate into
 :class:`~repro.sim.histogram.LatencyHistogram`\\ s (reads and writes
 separately), merged across tenants for the headline p50/p99/p999.
+
+:func:`run_open_loop` is the one measured loop: the tenant driver here,
+the trace replayer (:func:`repro.bench.tracereplay.replay_trace`) and
+the cluster driver (:func:`repro.cluster.bench.run_cluster_load`) only
+populate files and bind their schedule to open handles before calling it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.qos import IoClass
 from repro.errors import InvalidArgument
@@ -76,17 +81,21 @@ class TenantSpec:
             raise InvalidArgument(f"unknown arrival process {self.arrival!r}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise InvalidArgument("read_fraction must be in [0, 1]")
+        if self.burst_size < 1:
+            raise InvalidArgument("burst_size must be >= 1")
 
 
 @dataclass
 class TenantResult:
-    """Measured behaviour of one tenant."""
+    """Measured behaviour of one tenant (one ring)."""
 
     name: str
     reads: LatencyHistogram = field(default_factory=LatencyHistogram)
     writes: LatencyHistogram = field(default_factory=LatencyHistogram)
     submitted: int = 0
     errors: int = 0
+    #: failed completions by exception class name (NoSpace, TierUnavailable…)
+    error_kinds: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ops(self) -> int:
@@ -103,6 +112,9 @@ class MultiTenantResult:
     ring_depth: int
     #: migration orders the policy submitted during maintenance rounds
     migrations_submitted: int = 0
+    #: simulated ns from the first measured op to the last drained
+    #: completion; ``completed_ops / makespan`` is aggregate throughput
+    makespan_ns: int = 0
 
     def merged(self, op: str = "read") -> LatencyHistogram:
         """All tenants' latencies for ``op`` folded into one histogram."""
@@ -118,6 +130,10 @@ class MultiTenantResult:
     @property
     def completed_ops(self) -> int:
         return sum(t.ops for t in self.tenants.values())
+
+    @property
+    def errors(self) -> int:
+        return sum(t.errors for t in self.tenants.values())
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +215,144 @@ def generate_schedule(
 # execution
 # ---------------------------------------------------------------------------
 
+#: one ring submission: (arrival_ns, ring_idx, op, handle, offset, length),
+#: arrival relative to the start of the measured window
+Submission = Tuple[int, int, str, object, int, int]
+
+
+def populate(
+    stack, paths: List[str], file_bytes: int, tier: Optional[str], durable: bool
+) -> List[object]:
+    """Write a ``file_bytes`` file at each of ``paths``; returns them open.
+
+    With ``tier`` (a tier *name*) every file is written pinned there, so
+    head-to-head policy comparisons start from identical block placement
+    rather than each policy's own; the pin is cleared afterwards.
+
+    ``durable`` fsyncs each file before the measured window, so dirty
+    page-cache debt and a full device write buffer are not billed to the
+    first measured ops.
+    """
+    mux = stack.mux
+    pin = stack.tier_ids[tier] if tier is not None else None
+    payload = bytes([_PAYLOAD_BYTE]) * file_bytes
+    handles = []
+    for path in paths:
+        if pin is not None:
+            mux.close(mux.create(path))
+            mux.set_placement(path, pin)
+            mux.write_file(path, payload)
+            mux.set_placement(path, None)
+        else:
+            mux.write_file(path, payload)
+        handle = mux.open(path)
+        if durable:
+            mux.fsync(handle)
+        handles.append(handle)
+    return handles
+
+
+def maintenance_tick(mux, index: int, every: int) -> int:
+    """Event ``index``'s background work; returns the migrations planned.
+
+    Every ``every`` events the mux plans migrations.  The background
+    copier runs continuously: in-flight migrations advance every event,
+    otherwise a multi-chunk copy spans many bursts of foreground writes
+    and OCC-aborts on each.  Mirror convergence rides the same cadence
+    (an instant no-op for policies that never grant mirrors).
+    """
+    planned = mux.maintain_async() if index and index % every == 0 else 0
+    mux.engine.tick()
+    mux.mirrors.tick()
+    return planned
+
+
+def tenant_submissions(
+    specs: List[TenantSpec], handles: List[List], duration_ns: int, seed: int
+) -> List[Submission]:
+    """:func:`generate_schedule` bound to each tenant's open handles."""
+    return [
+        (arrival, idx, op, handles[idx][file_idx], offset, specs[idx].io_bytes)
+        for arrival, idx, _seq, op, file_idx, offset in generate_schedule(
+            specs, duration_ns, seed
+        )
+    ]
+
+
+def run_open_loop(
+    fs,
+    names: List[str],
+    submissions: Iterable[Submission],
+    duration_ns: int,
+    ring_depth: int,
+    maintain_every: int = 0,
+) -> MultiTenantResult:
+    """Submit a pre-bound schedule through one ring per name; measure it.
+
+    ``fs`` is a Mux or a ClusterMux.  The clock advances to each op's
+    intended arrival, that ring's completions are harvested, and the op
+    is submitted there, overlapping with everything already in flight.
+    Latency is completion minus *intended* arrival, so ring backpressure
+    and device backlog show up as queueing delay.  Failed completions
+    are counted per ring, by exception class.
+
+    ``maintain_every`` (0 = off) runs :func:`maintenance_tick` before
+    every submission, so migrating policies act during the window.
+    """
+    clock = fs.clock
+    results = [TenantResult(name) for name in names]
+    rings = [fs.open_ring(depth=ring_depth) for _ in names]
+    #: ring seq -> (intended arrival, op) per ring
+    outstanding: List[Dict[int, Tuple[int, str]]] = [{} for _ in names]
+
+    def harvest(idx: int, completions) -> None:
+        tenant = results[idx]
+        book = outstanding[idx]
+        for c in completions:
+            arrival, op = book.pop(c.seq)
+            if c.error is not None:
+                tenant.errors += 1
+                kind = type(c.error).__name__
+                tenant.error_kinds[kind] = tenant.error_kinds.get(kind, 0) + 1
+                continue
+            latency = c.completed_ns - arrival
+            (tenant.reads if op == "read" else tenant.writes).record(latency)
+
+    migrations = 0
+    offered = 0
+    start_ns = clock.now_ns
+    for arrival, idx, op, handle, offset, length in submissions:
+        arrival += start_ns
+        clock.advance_to(arrival)
+        ring = rings[idx]
+        harvest(idx, ring.poll())
+        if maintain_every:
+            migrations += maintenance_tick(fs, offered, maintain_every)
+        if op == "read":
+            sub = ring.submit_read(handle, offset, length)
+        elif op == "write":
+            sub = ring.submit_write(handle, offset, bytes([_PAYLOAD_BYTE]) * length)
+        else:
+            sub = ring.submit_fsync(handle)
+        outstanding[idx][sub.seq] = (arrival, op)
+        results[idx].submitted += 1
+        offered += 1
+
+    for idx, ring in enumerate(rings):
+        harvest(idx, ring.drain())
+        ring.close()
+    makespan_ns = clock.now_ns - start_ns
+    if maintain_every:
+        fs.engine.drain()
+    return MultiTenantResult(
+        tenants={tenant.name: tenant for tenant in results},
+        offered_ops=offered,
+        duration_ns=duration_ns,
+        ring_depth=ring_depth,
+        migrations_submitted=migrations,
+        makespan_ns=makespan_ns,
+    )
+
 
 def run_multi_tenant(
     stack,
@@ -207,7 +361,7 @@ def run_multi_tenant(
     ring_depth: int = 8,
     seed: int = 2026,
     root: str = "/tenants",
-    population_tier: Optional[int] = None,
+    population_tier: Optional[str] = None,
     maintain_every: int = 0,
     durable_population: bool = False,
 ) -> MultiTenantResult:
@@ -217,27 +371,17 @@ def run_multi_tenant(
     configuration, 1 the serialized baseline.  Setup (population writes,
     QoS registration) happens before the measured schedule starts.
 
-    ``population_tier`` pins every population file to that tier id for
-    the setup writes (the pin is cleared before the measured schedule).
-    Policy head-to-head comparisons need it: otherwise each policy places
-    the population differently and the measured read path compares
+    ``population_tier`` (a tier name) and ``durable_population`` are
+    :func:`populate`'s ``tier`` and ``durable``.  Policy head-to-head
+    comparisons need the pin: otherwise each policy places the
+    population differently and the measured read path compares
     *population placement* rather than steady-state behaviour.
 
-    ``maintain_every`` (0 = off, the default) plans migrations every N
-    events via ``mux.maintain_async()`` and advances in-flight copies one
-    cooperative step per event, so migrating policies get to act during
-    the measured window — policy duels need it, while the async-vs-depth1
-    ablation keeps it off so placement stays frozen across depths.
-
-    ``durable_population`` fsyncs every population file before the
-    measured window, so dirty page-cache debt and full device write
-    buffers from setup are not billed to the first measured ops.
+    ``maintain_every`` is :func:`run_open_loop`'s: policy duels need it,
+    while the async-vs-depth1 ablation keeps it off so placement stays
+    frozen across depths.
     """
     mux = stack.mux
-    clock = stack.clock
-    events = generate_schedule(specs, duration_ns, seed)
-
-    # -- population + QoS setup (unmeasured) ----------------------------
     mux.mkdir(root)
     qos = None
     if any(s.qos_class is not None for s in specs):
@@ -245,84 +389,29 @@ def run_multi_tenant(
     handles: List[List] = []
     for spec in specs:
         mux.mkdir(f"{root}/{spec.name}")
+        paths = [f"{root}/{spec.name}/f{i}" for i in range(spec.files)]
         if spec.qos_class is not None:
             qos.register(spec.qos_class)
-        tenant_handles = []
-        payload = bytes([_PAYLOAD_BYTE]) * spec.file_bytes
-        for i in range(spec.files):
-            path = f"{root}/{spec.name}/f{i}"
-            if population_tier is not None:
-                mux.close(mux.create(path))
-                mux.set_placement(path, population_tier)
-                mux.write_file(path, payload)
-                mux.set_placement(path, None)
-            else:
-                mux.write_file(path, payload)
-            handle = mux.open(path)
-            if durable_population:
-                mux.fsync(handle)
-            if spec.qos_class is not None:
+        tenant_handles = populate(
+            stack, paths, spec.file_bytes, population_tier, durable_population
+        )
+        if spec.qos_class is not None:
+            for handle in tenant_handles:
                 qos.tag(handle, spec.qos_class.name)
-            tenant_handles.append(handle)
         handles.append(tenant_handles)
 
-    results = {spec.name: TenantResult(spec.name) for spec in specs}
-    rings = [mux.open_ring(depth=ring_depth) for _ in specs]
-    #: ring seq -> (intended arrival, op) per tenant
-    outstanding: List[Dict[int, Tuple[int, str]]] = [{} for _ in specs]
-
-    def harvest(idx: int, completions) -> None:
-        tenant = results[specs[idx].name]
-        book = outstanding[idx]
-        for c in completions:
-            arrival, op = book.pop(c.seq)
-            if c.error is not None:
-                tenant.errors += 1
-                continue
-            latency = c.completed_ns - arrival
-            (tenant.reads if op == "read" else tenant.writes).record(latency)
-
-    # -- measured open-loop schedule ------------------------------------
-    migrations = 0
-    start_ns = clock.now_ns
-    for index, (arrival, idx, _seq, op, file_idx, offset) in enumerate(events):
-        clock.advance_to(start_ns + arrival)
-        harvest(idx, rings[idx].poll())
-        if maintain_every:
-            if index and index % maintain_every == 0:
-                migrations += mux.maintain_async()
-            # the background copier runs continuously: advance in-flight
-            # migrations every event, otherwise one multi-chunk copy
-            # spans many bursts and OCC-aborts on each (see tracereplay)
-            mux.engine.tick()
-        spec = specs[idx]
-        handle = handles[idx][file_idx]
-        if op == "read":
-            sub = rings[idx].submit_read(handle, offset, spec.io_bytes)
-        elif op == "write":
-            payload = bytes([_PAYLOAD_BYTE]) * spec.io_bytes
-            sub = rings[idx].submit_write(handle, offset, payload)
-        else:
-            sub = rings[idx].submit_fsync(handle)
-        outstanding[idx][sub.seq] = (start_ns + arrival, op)
-        results[spec.name].submitted += 1
-
-    for idx, ring in enumerate(rings):
-        harvest(idx, ring.drain())
-        ring.close()
-    if maintain_every:
-        mux.engine.drain()
+    result = run_open_loop(
+        mux,
+        [spec.name for spec in specs],
+        tenant_submissions(specs, handles, duration_ns, seed),
+        duration_ns,
+        ring_depth,
+        maintain_every,
+    )
     for tenant_handles in handles:
         for handle in tenant_handles:
             mux.close(handle)
-
-    return MultiTenantResult(
-        tenants=results,
-        offered_ops=len(events),
-        duration_ns=duration_ns,
-        ring_depth=ring_depth,
-        migrations_submitted=migrations,
-    )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +425,7 @@ def fairness_slowdowns(
     duration_ns: int,
     ring_depth: int = 8,
     seed: int = 2026,
-    population_tier_name: Optional[str] = None,
+    population_tier: Optional[str] = None,
     maintain_every: int = 0,
     durable_population: bool = False,
 ) -> Tuple[MultiTenantResult, Dict[str, Dict[str, int]]]:
@@ -358,19 +447,13 @@ def fairness_slowdowns(
     """
 
     def _run(run_specs: List[TenantSpec]) -> MultiTenantResult:
-        stack = stack_factory()
-        tier = (
-            stack.tier_ids[population_tier_name]
-            if population_tier_name is not None
-            else None
-        )
         return run_multi_tenant(
-            stack,
+            stack_factory(),
             run_specs,
             duration_ns,
             ring_depth=ring_depth,
             seed=seed,
-            population_tier=tier,
+            population_tier=population_tier,
             maintain_every=maintain_every,
             durable_population=durable_population,
         )

@@ -4,10 +4,11 @@ Synthetic arrival processes answer "does the policy react to pressure";
 block traces answer "does it react to *this* workload".  This module
 defines a small canonical trace format, deterministic generators for the
 three interesting shapes (zipf steady-state, bursty writers over a read
-floor, phase-change hot sets), and an open-loop replay engine that drives
-a trace through the async ring API against any stack — so every
-registered policy can be benchmarked head-to-head on identical offered
-load.
+floor, phase-change hot sets), and :func:`replay_trace`, which populates
+the trace's files and drives the trace through the async ring API with
+the shared open-loop driver
+(:func:`repro.bench.multi_tenant.run_open_loop`) — so every registered
+policy can be benchmarked head-to-head on identical offered load.
 
 Format — one record per line, integer fields, ``#`` comments::
 
@@ -32,20 +33,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.bench.multi_tenant import _exp_gap, _zipf_cdf, _zipf_pick
+from repro.bench.multi_tenant import (
+    MultiTenantResult,
+    _exp_gap,
+    _zipf_cdf,
+    _zipf_pick,
+    maintenance_tick,
+    populate,
+    run_open_loop,
+    _PAYLOAD_BYTE,
+)
 from repro.errors import InvalidArgument
-from repro.sim.histogram import LatencyHistogram
 from repro.sim.rng import DeterministicRng
 
 KIB = 1024
 MIB = 1024 * KIB
 
 TRACE_MAGIC = "# muxtrace v1"
-
-#: deterministic write payload byte (content never affects placement)
-_PAYLOAD_BYTE = 0x6B
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,15 @@ def dump_trace(trace: BlockTrace, path) -> None:
     Path(path).write_text(dumps_trace(trace))
 
 
+def _int_field(value: str, lineno: int, name: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidArgument(
+            f"line {lineno}: {name} must be an integer, got {value!r}"
+        ) from None
+
+
 def parse_trace(text: str) -> BlockTrace:
     """Parse the canonical text form; validates shape and ordering."""
     lines = text.splitlines()
@@ -149,9 +164,9 @@ def parse_trace(text: str) -> BlockTrace:
             body = line[1:].strip()
             parts = body.split()
             if len(parts) == 2 and parts[0] == "files":
-                files = int(parts[1])
+                files = _int_field(parts[1], lineno, "files")
             elif len(parts) == 2 and parts[0] == "file_bytes":
-                file_bytes = int(parts[1])
+                file_bytes = _int_field(parts[1], lineno, "file_bytes")
             elif body:
                 comments.append(body)
             continue
@@ -162,7 +177,13 @@ def parse_trace(text: str) -> BlockTrace:
         if letter not in kinds:
             raise InvalidArgument(f"line {lineno}: op must be R, W or F")
         ops.append(
-            TraceOp(int(arrival), kinds[letter], int(file_id), int(offset), int(length))
+            TraceOp(
+                _int_field(arrival, lineno, "arrival_ns"),
+                kinds[letter],
+                _int_field(file_id, lineno, "file_id"),
+                _int_field(offset, lineno, "offset"),
+                _int_field(length, lineno, "length"),
+            )
         )
     if files is None or file_bytes is None:
         raise InvalidArgument("trace missing '# files N' / '# file_bytes N'")
@@ -433,78 +454,12 @@ def write_canonical_traces(directory=None) -> List[Path]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TraceReplayResult:
-    """Latency outcome of one trace replay against one stack."""
-
-    reads: LatencyHistogram = field(default_factory=LatencyHistogram)
-    writes: LatencyHistogram = field(default_factory=LatencyHistogram)
-    submitted: int = 0
-    errors: int = 0
-    #: failed completions by exception class name (NoSpace, TierOffline…)
-    error_kinds: Dict[str, int] = field(default_factory=dict)
-    #: migration orders the policy submitted during maintenance
-    migrations_submitted: int = 0
-    final_now_ns: int = 0
-
-    def percentiles_ns(self, op: str = "read") -> Dict[str, int]:
-        hist = self.reads if op == "read" else self.writes
-        return hist.percentiles_ns(0.5, 0.99, 0.999)
-
-
-def populate(
-    stack, root: str, files: int, file_bytes: int, tier: Optional[str]
-) -> List[object]:
-    """Write ``files`` files of ``file_bytes`` under ``root``; returns them open.
-
-    With ``tier`` (a tier *name*) every file is written pinned there, so
-    head-to-head policy comparisons start from identical block placement;
-    the pin is cleared afterwards.
-    """
-    mux = stack.mux
-    mux.mkdir(root)
-    pin = stack.tier_ids[tier] if tier is not None else None
-    payload = bytes([_PAYLOAD_BYTE]) * file_bytes
-    handles = []
-    for i in range(files):
-        path = f"{root}/f{i}"
-        if pin is not None:
-            mux.close(mux.create(path))
-            mux.set_placement(path, pin)
-            mux.write_file(path, payload)
-            mux.set_placement(path, None)
-        else:
-            mux.write_file(path, payload)
-        handle = mux.open(path)
-        # make the population durable before the measured window: dirty
-        # page-cache debt and a full device write buffer would otherwise
-        # bill population cleanup to the first measured reads
-        mux.fsync(handle)
-        handles.append(handle)
-    return handles
-
-
 def drop_clean_page_caches(stack) -> None:
     """Empty every native file system's clean DRAM page cache."""
     for fs in stack.filesystems.values():
         cache = getattr(fs, "page_cache", None)
         if cache is not None:
             cache.drop_clean()
-
-
-def maintenance_tick(mux, index: int, every: int) -> int:
-    """Event ``index``'s background work; returns the migrations planned.
-
-    Every ``every`` events the mux plans migrations.  The background
-    copier runs continuously: in-flight migrations advance every event,
-    otherwise a multi-chunk copy spans many bursts of foreground writes
-    and OCC-aborts on each.  Mirror convergence rides the same cadence
-    (an instant no-op for policies that never grant mirrors).
-    """
-    planned = mux.maintain_async() if index and index % every == 0 else 0
-    mux.engine.tick()
-    mux.mirrors.tick()
-    return planned
 
 
 def settle(mux) -> None:
@@ -525,18 +480,15 @@ def replay_trace(
     root: str = "/trace",
     warm_passes: int = 0,
     drop_page_caches: bool = False,
-) -> TraceReplayResult:
-    """Open-loop replay of ``trace`` against ``stack``.
+) -> MultiTenantResult:
+    """Open-loop replay of ``trace`` against ``stack``, as one ring.
 
-    The file population (``trace.files`` files of ``trace.file_bytes``)
-    is written before the measured window — pinned to ``population_tier``
-    (a tier *name*) when given, so head-to-head policy comparisons start
-    from identical block placement and measure steady-state behaviour,
-    not population luck.  The pin is cleared before replay.
-
-    Every ``maintain_every`` events the mux plans migrations
-    (``maintain_async``) and the engine advances in-flight ones one
-    cooperative step, so policies that migrate get to — on background
+    The file population (``trace.files`` durable files of
+    ``trace.file_bytes``) is written before the measured window, pinned
+    to ``population_tier`` (a tier *name*) when given — see
+    :func:`~repro.bench.multi_tenant.populate`.  The measured window is
+    :func:`~repro.bench.multi_tenant.run_open_loop` with
+    ``maintain_every``, so policies that migrate get to — on background
     channels, contending only when the device is genuinely busy.
 
     ``warm_passes`` replays the trace that many times closed-loop and
@@ -553,9 +505,10 @@ def replay_trace(
     same cache, hiding what *placement* bought.
     """
     mux = stack.mux
-    clock = stack.clock
     trace.validate()
-    handles = populate(stack, root, trace.files, trace.file_bytes, population_tier)
+    mux.mkdir(root)
+    paths = [f"{root}/f{i}" for i in range(trace.files)]
+    handles = populate(stack, paths, trace.file_bytes, population_tier, True)
 
     for _ in range(warm_passes):
         for index, op in enumerate(trace.ops):
@@ -577,43 +530,17 @@ def replay_trace(
             mux.fsync(handle)
         drop_clean_page_caches(stack)
 
-    result = TraceReplayResult()
-    ring = mux.open_ring(depth=ring_depth)
-    outstanding: Dict[int, Tuple[int, str]] = {}
-
-    def harvest(completions) -> None:
-        for c in completions:
-            arrival, op = outstanding.pop(c.seq)
-            if c.error is not None:
-                result.errors += 1
-                kind = type(c.error).__name__
-                result.error_kinds[kind] = result.error_kinds.get(kind, 0) + 1
-                continue
-            latency = c.completed_ns - arrival
-            (result.reads if op == "read" else result.writes).record(latency)
-
-    start_ns = clock.now_ns
-    for index, op in enumerate(trace.ops):
-        clock.advance_to(start_ns + op.arrival_ns)
-        harvest(ring.poll())
-        if maintain_every:
-            result.migrations_submitted += maintenance_tick(mux, index, maintain_every)
-        handle = handles[op.file_id]
-        if op.op == "read":
-            sub = ring.submit_read(handle, op.offset, op.length)
-        elif op.op == "write":
-            sub = ring.submit_write(
-                handle, op.offset, bytes([_PAYLOAD_BYTE]) * op.length
-            )
-        else:
-            sub = ring.submit_fsync(handle)
-        outstanding[sub.seq] = (start_ns + op.arrival_ns, op.op)
-        result.submitted += 1
-
-    harvest(ring.drain())
-    ring.close()
-    mux.engine.drain()
+    result = run_open_loop(
+        mux,
+        ["trace"],
+        (
+            (op.arrival_ns, 0, op.op, handles[op.file_id], op.offset, op.length)
+            for op in trace.ops
+        ),
+        trace.duration_ns,
+        ring_depth,
+        maintain_every,
+    )
     for handle in handles:
         mux.close(handle)
-    result.final_now_ns = clock.now_ns
     return result

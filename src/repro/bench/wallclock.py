@@ -48,14 +48,14 @@ from repro.bench.multi_tenant import (
     _zipf_cdf,
     _zipf_pick,
     fairness_slowdowns,
+    maintenance_tick,
+    populate,
     run_multi_tenant,
     slowdown_x,
 )
 from repro.bench.tracereplay import (
     drop_clean_page_caches,
     load_canonical,
-    maintenance_tick,
-    populate,
     replay_trace,
     settle,
 )
@@ -524,7 +524,7 @@ def _tail_row(record: Dict[str, object], *keys: str) -> Dict[str, object]:
 def _replay_record(res) -> Dict[str, object]:
     return {
         **_tails(res),
-        "submitted": res.submitted,
+        "submitted": res.offered_ops,
         "errors": res.errors,
         "migrations": res.migrations_submitted,
     }
@@ -548,7 +548,7 @@ def _trace_replay(timed, smoke: bool) -> Measured:
             res = replay_trace(
                 stack, trace, ring_depth=32, maintain_every=256, population_tier="ssd"
             )
-        return res.submitted, trace_bytes, _replay_record(res)
+        return res.offered_ops, trace_bytes, _replay_record(res)
 
     records, measured = _policy_duel(_DUEL_POLICIES, _duel_stack, run)
     measured.events = {
@@ -615,7 +615,7 @@ def _tenant_policy_duel(timed, smoke: bool) -> Measured:
                 specs,
                 duration_ns=duration_ns,
                 ring_depth=32,
-                population_tier=stack.tier_ids["ssd"],
+                population_tier="ssd",
                 maintain_every=256,
                 durable_population=True,
             )
@@ -630,7 +630,7 @@ def _tenant_policy_duel(timed, smoke: bool) -> Measured:
             specs,
             duration_ns=duration_ns,
             ring_depth=32,
-            population_tier_name="ssd",
+            population_tier="ssd",
             maintain_every=256,
             durable_population=True,
         )
@@ -676,7 +676,9 @@ def _mirror_skew(timed, smoke: bool) -> Measured:
 
     def run(stack: Stack):
         mux = stack.mux
-        handles = populate(stack, "/skew", files, file_bytes, "hdd")
+        mux.mkdir("/skew")
+        paths = [f"/skew/f{i}" for i in range(files)]
+        handles = populate(stack, paths, file_bytes, "hdd", True)
         # the population leaves every block clean in the HDD file
         # system's page cache (it is 10% of the device — the whole
         # working set fits); drop it so the measured stream starts
@@ -766,7 +768,7 @@ def _mirror_trace_duel(timed, smoke: bool) -> Measured:
             "reads_from_mirror": stack.mux.stats.get("reads_from_mirror"),
             "blocks_synced": stack.mux.mirrors.stats.get("blocks_synced"),
         }
-        return res.submitted, trace_bytes, record
+        return res.offered_ops, trace_bytes, record
 
     records, measured = _policy_duel(_MIRROR_DUEL_POLICIES, _duel_stack, run)
 

@@ -1,8 +1,9 @@
 """Open-loop load against a ClusterMux: the scale-out measurement rig.
 
-Reuses the deterministic arrival machinery of
-:mod:`repro.bench.multi_tenant` (pre-generated Poisson/zipf schedules,
-per-tenant async rings, latency from *intended* arrival) but drives a
+Reuses the deterministic arrival schedules of
+:mod:`repro.bench.multi_tenant` and its one open-loop driver,
+:func:`~repro.bench.multi_tenant.run_open_loop` (per-tenant async rings,
+latency from *intended* arrival), but drives a
 :class:`~repro.cluster.cluster.ClusterMux` instead of a single Mux, and
 reports **makespan throughput**: the same offered schedule replayed
 against 1/2/4 shards finishes in less simulated time exactly in
@@ -17,9 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.multi_tenant import (
     MultiTenantResult,
-    TenantResult,
     TenantSpec,
-    generate_schedule,
+    run_open_loop,
+    tenant_submissions,
     _PAYLOAD_BYTE,
 )
 from repro.cluster.cluster import ClusterMux
@@ -87,25 +88,22 @@ def run_cluster_load(
     seed: int = 2026,
     root: str = "/tenants",
     population_tier: Optional[int] = None,
-    durable_population: bool = True,
 ) -> Tuple[MultiTenantResult, int]:
     """Replay the open-loop schedule against ``cluster``.
 
-    Identical measurement discipline to
-    :func:`repro.bench.multi_tenant.run_multi_tenant` — the clock
-    advances to each op's intended arrival, submissions overlap through
-    per-tenant cluster rings, latency is completion minus intended
-    arrival — so single-Mux and cluster numbers are directly comparable.
-    Returns the result plus the **makespan** (ns of simulated time from
-    the first measured op to the last drained completion); aggregate
-    throughput is ``completed_ops / makespan``, the number that must
-    scale with shard count.
-    """
-    clock = cluster.clock
-    events = generate_schedule(specs, duration_ns, seed)
+    The measured window is :func:`repro.bench.multi_tenant.run_open_loop`,
+    the same loop :func:`repro.bench.multi_tenant.run_multi_tenant` uses,
+    so single-Mux and cluster numbers are directly comparable.  Returns
+    the result plus its **makespan**; aggregate throughput is
+    ``completed_ops / makespan``, the number that must scale with shard
+    count.
 
-    # -- population (unmeasured; idempotent so a hotspot run can be
-    # replayed after a rebalance against the already-moved subtrees) -----
+    Population is durable and idempotent, so a hotspot run can be
+    replayed after a rebalance against the already-moved subtrees.  The
+    ``exists()`` guards that make it idempotent keep it apart from the
+    single-Mux :func:`~repro.bench.multi_tenant.populate`: on a Mux,
+    ``exists()`` charges getattr time its callers never paid.
+    """
     if not cluster.exists(root):
         cluster.mkdir(root)
     handles: List[List] = []
@@ -125,56 +123,19 @@ def run_cluster_load(
             else:
                 cluster.write_file(path, payload)
             handle = cluster.open(path)
-            if durable_population:
-                cluster.fsync(handle)
+            cluster.fsync(handle)
             tenant_handles.append(handle)
         handles.append(tenant_handles)
     cluster.sync()
 
-    results = {spec.name: TenantResult(spec.name) for spec in specs}
-    rings = [cluster.open_ring(depth=ring_depth) for _ in specs]
-    outstanding: List[Dict[int, Tuple[int, str]]] = [{} for _ in specs]
-
-    def harvest(idx: int, completions) -> None:
-        tenant = results[specs[idx].name]
-        book = outstanding[idx]
-        for c in completions:
-            arrival, op = book.pop(c.seq)
-            if c.error is not None:
-                tenant.errors += 1
-                continue
-            latency = c.completed_ns - arrival
-            (tenant.reads if op == "read" else tenant.writes).record(latency)
-
-    # -- measured open-loop schedule ------------------------------------
-    start_ns = clock.now_ns
-    for arrival, idx, _seq, op, file_idx, offset in events:
-        clock.advance_to(start_ns + arrival)
-        harvest(idx, rings[idx].poll())
-        spec = specs[idx]
-        handle = handles[idx][file_idx]
-        if op == "read":
-            sub = rings[idx].submit_read(handle, offset, spec.io_bytes)
-        elif op == "write":
-            payload = bytes([_PAYLOAD_BYTE]) * spec.io_bytes
-            sub = rings[idx].submit_write(handle, offset, payload)
-        else:
-            sub = rings[idx].submit_fsync(handle)
-        outstanding[idx][sub.seq] = (start_ns + arrival, op)
-        results[spec.name].submitted += 1
-
-    for idx, ring in enumerate(rings):
-        harvest(idx, ring.drain())
-        ring.close()
-    makespan_ns = clock.now_ns - start_ns
+    result = run_open_loop(
+        cluster,
+        [spec.name for spec in specs],
+        tenant_submissions(specs, handles, duration_ns, seed),
+        duration_ns,
+        ring_depth,
+    )
     for tenant_handles in handles:
         for handle in tenant_handles:
             cluster.close(handle)
-
-    result = MultiTenantResult(
-        tenants=results,
-        offered_ops=len(events),
-        duration_ns=duration_ns,
-        ring_depth=ring_depth,
-    )
-    return result, makespan_ns
+    return result, result.makespan_ns

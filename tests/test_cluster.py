@@ -11,7 +11,12 @@ discipline.
 
 import pytest
 
-from repro.cluster.bench import balanced_tenant_names, colocated_tenant_names
+from repro.bench.multi_tenant import TenantSpec
+from repro.cluster.bench import (
+    balanced_tenant_names,
+    colocated_tenant_names,
+    run_cluster_load,
+)
 from repro.cluster.cluster import (
     MIGRATE_TMP,
     RENAME_TMP,
@@ -626,3 +631,26 @@ class TestClusterRing:
         ring.close()
         cluster.close(handle)
         assert cluster.read_file(path)[:5] == b"dirty"
+
+
+class TestClusterLoad:
+    def test_completes_and_repopulates(self):
+        """Every offered op completes, and a second run over subtrees the
+        first already populated succeeds — the rebalance phase of the
+        scale-out benchmark replays against existing subtrees."""
+        cluster = small_cluster(2).mux
+        names = balanced_tenant_names(cluster.ring, "tenants", 4)
+        specs = [
+            TenantSpec(name, mean_interarrival_ns=20_000, files=2, read_fraction=0.7)
+            for name in names
+        ]
+        hdd = cluster.shards[0].stack.tier_ids["hdd"]
+        for _ in range(2):
+            res, makespan_ns = run_cluster_load(
+                cluster, specs, duration_ns=500_000, population_tier=hdd
+            )
+            assert res.offered_ops > 0
+            assert res.completed_ops == res.offered_ops
+            assert res.errors == 0
+            assert makespan_ns == res.makespan_ns > 0
+        assert sorted(cluster.readdir("/tenants")) == sorted(names)

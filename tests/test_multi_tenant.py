@@ -5,7 +5,9 @@ import pytest
 from repro.bench.multi_tenant import (
     TenantSpec,
     generate_schedule,
+    populate,
     run_multi_tenant,
+    run_open_loop,
 )
 from repro.core.qos import IoClass
 from repro.errors import InvalidArgument
@@ -65,6 +67,8 @@ class TestSchedule:
             TenantSpec("bad", mean_interarrival_ns=1, read_fraction=1.5)
         with pytest.raises(InvalidArgument):
             TenantSpec("bad", mean_interarrival_ns=1, io_bytes=8 * KIB, file_bytes=KIB)
+        with pytest.raises(InvalidArgument):
+            TenantSpec("bad", mean_interarrival_ns=1, arrival="bursty", burst_size=0)
 
 
 class TestEngine:
@@ -106,6 +110,29 @@ class TestEngine:
         assert stack.mux.qos is not None
         assert "batch" in stack.mux.qos.classes()
         assert res.completed_ops == res.offered_ops
+
+
+class TestOpenLoopDriver:
+    def test_failures_counted_by_kind(self):
+        """Reads of a population whose only tier went offline fail, and the
+        shared driver reports every one of them under its exception kind."""
+        stack = build_stack(tiers=["ssd", "hdd"], enable_cache=False)
+        mux = stack.mux
+        mux.mkdir("/p")
+        paths = [f"/p/f{i}" for i in range(2)]
+        handles = populate(stack, paths, 64 * KIB, "ssd", True)
+        mux.mark_tier_offline(stack.tier_ids["ssd"])
+        reads = [
+            (1_000 * (i + 1), 0, "read", handles[i % 2], (i % 16) * 4 * KIB, 4 * KIB)
+            for i in range(20)
+        ]
+        res = run_open_loop(mux, ["r"], reads, duration_ns=30_000, ring_depth=4)
+        tenant = res.tenants["r"]
+        assert res.offered_ops == tenant.submitted == 20
+        assert tenant.ops == 0
+        assert tenant.errors == 20
+        assert tenant.error_kinds == {"TierUnavailable": 20}
+        assert res.makespan_ns >= 20_000
 
 
 class TestAsyncVsSerialized:

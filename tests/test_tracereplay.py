@@ -48,6 +48,16 @@ class TestFormat:
         with pytest.raises(InvalidArgument, match="R, W or F"):
             parse_trace(text)
 
+    def test_non_integer_record_field_rejected(self):
+        text = "# muxtrace v1\n# files 1\n# file_bytes 65536\n10 R 0 0 x\n"
+        with pytest.raises(InvalidArgument, match="line 4: length"):
+            parse_trace(text)
+
+    def test_non_integer_header_rejected(self):
+        text = "# muxtrace v1\n# files two\n# file_bytes 65536\n0 R 0 0 4096\n"
+        with pytest.raises(InvalidArgument, match="line 2: files"):
+            parse_trace(text)
+
 
 class TestValidate:
     def _trace(self, ops):
@@ -164,13 +174,14 @@ class TestReplay:
         )
         stack = build_stack(enable_cache=False)
         result = replay_trace(stack, trace, ring_depth=8, maintain_every=16)
-        assert result.submitted == len(trace.ops)
+        assert result.offered_ops == len(trace.ops)
         assert result.errors == 0
         mix = trace.op_mix()
-        assert result.reads.count == mix.get("read", 0)
+        assert result.merged("read").count == mix.get("read", 0)
         # fsyncs land in the writes histogram alongside writes
-        assert result.writes.count == mix.get("write", 0) + mix.get("fsync", 0)
-        assert result.final_now_ns > trace.duration_ns
+        writes = mix.get("write", 0) + mix.get("fsync", 0)
+        assert result.merged("write").count == writes
+        assert stack.clock.now_ns > trace.duration_ns
 
     def test_replay_is_deterministic(self):
         trace = bursty_trace(
