@@ -2,96 +2,20 @@
 
 The paper's claim: OCC "minimizes the critical path of user requests and
 enables the parallel execution of migration without pessimistic blocking".
-We measure the time for a user write to complete while a large migration
-is in flight: under OCC the write slips between copy chunks; under the
-pessimistic lock it waits for the whole movement.
+The ``ablation_occ`` registry entry times a user write issued while a
+24 MiB migration is in flight, and races a migration against writes.
 """
 
-import pytest
 
-from repro.core.policy import MigrationOrder
-from repro.stack import build_stack
-
-MIB = 1024 * 1024
-BS = 4096
-
-
-def user_write_completion_time(force_lock: bool) -> float:
-    stack = build_stack(
-        capacities={"pm": 64 * MIB, "ssd": 128 * MIB, "hdd": 256 * MIB},
-        enable_cache=False,
+def test_ablation_occ_vs_lock(paper_check):
+    assert paper_check(
+        "ablation_occ", "OCC write completes > 10x sooner than behind the lock"
     )
-    mux = stack.mux
-    mux.engine.occ.force_lock = force_lock
-    handle = mux.create("/big")
-    size = 24 * MIB
-    chunk = bytes(MIB)
-    for off in range(0, size, MIB):
-        mux.write(handle, off, chunk)
-    order = MigrationOrder(
-        handle.ino, 0, size // BS, stack.tier_id("pm"), stack.tier_id("ssd")
-    )
-    task = mux.engine.submit(order)
-    issue_ns = stack.clock.now_ns
-    task.step()  # the migration starts (and under the lock, finishes)
-    mux.write(handle, 0, b"user write during migration")
-    latency = stack.clock.now_ns - issue_ns
-    task.join()
-    mux.close(handle)
-    return latency / 1000.0  # us
 
 
-def test_ablation_occ_vs_lock(benchmark):
-    def run():
-        return {
-            "occ_us": user_write_completion_time(force_lock=False),
-            "lock_us": user_write_completion_time(force_lock=True),
-        }
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(
-        f"user write completion during 24 MiB migration: "
-        f"OCC {result['occ_us']:.1f} us vs lock {result['lock_us']:.1f} us "
-        f"({result['lock_us'] / result['occ_us']:.0f}x stall reduction)"
-    )
-    benchmark.extra_info.update(result)
-    # OCC keeps user writes off the migration's critical path
-    assert result["occ_us"] * 10 < result["lock_us"]
-
-
-def test_ablation_occ_retry_cost(benchmark):
+def test_ablation_occ_retry_cost(paper_check):
     """Conflicting writes force retries; the migration still converges."""
-
-    def run():
-        stack = build_stack(enable_cache=False)
-        mux = stack.mux
-        handle = mux.create("/f")
-        mux.write(handle, 0, bytes(256 * BS))
-        inode = mux.ns.get(handle.ino)
-        task = mux.engine.submit(
-            MigrationOrder(
-                handle.ino, 0, 256, stack.tier_id("pm"), stack.tier_id("ssd")
-            )
-        )
-        step = 0
-        while task.step():
-            if step % 2 == 0 and inode.migration_active:
-                mux.write(handle, (step % 256) * BS, b"conflict")
-            step += 1
-        result = task.result
-        mux.close(handle)
-        return {
-            "attempts": result.attempts,
-            "conflicts": result.conflicts,
-            "lock_fallback": result.lock_fallback,
-            "moved_blocks": result.moved_blocks,
-        }
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(f"conflicted migration: {stats}")
-    benchmark.extra_info.update(
-        {k: (int(v) if isinstance(v, bool) else v) for k, v in stats.items()}
+    assert paper_check(
+        "ablation_occ",
+        "conflicted migration retries (attempts >= 2) or falls back to the lock",
     )
-    assert stats["attempts"] >= 2 or stats["lock_fallback"]

@@ -6,31 +6,11 @@ Mux is 2.59x faster because it delegates to production file systems
 instead of Strata's digest-unit device writes under extent-tree locks.
 """
 
-from repro.bench.experiments import experiment_fig3a
-from repro.bench.harness import format_rows
 
-
-def test_fig3a_migration_matrix(benchmark, full_scale):
-    file_mib = 16 if full_scale else 8
-    result = benchmark.pedantic(
-        experiment_fig3a, kwargs={"file_mib": file_mib}, rounds=1, iterations=1
-    )
-    print()
-    print(format_rows(result.rows(), "== Figure 3a: migration matrix =="))
-
-    for (src, dst), mb_s in result.mux.items():
-        benchmark.extra_info[f"mux_{src}_to_{dst}_mb_s"] = round(mb_s, 1)
-    for (src, dst), mb_s in result.strata.items():
-        benchmark.extra_info[f"strata_{src}_to_{dst}_mb_s"] = round(mb_s, 1)
-    benchmark.extra_info["mux_supported_pairs"] = result.mux_supported_pairs
-    benchmark.extra_info["strata_supported_pairs"] = result.strata_supported_pairs
-    benchmark.extra_info["pm_ssd_speedup_paper"] = 2.59
-    benchmark.extra_info["pm_ssd_speedup_measured"] = round(
-        result.speedup_pm_ssd(), 2
-    )
-
-    # the shapes the paper reports
-    assert result.mux_supported_pairs == 6
-    assert result.strata_supported_pairs == 2
-    for pair in result.strata:
-        assert result.mux[pair] > result.strata[pair]
+def test_fig3a_migration_matrix(paper_check):
+    for claim in (
+        "Mux migrates between all 6 device pairs",
+        "Strata migrates exactly pm->ssd and pm->hdd",
+        "Mux beats Strata on every pair Strata supports",
+    ):
+        assert paper_check("fig3a", claim), claim

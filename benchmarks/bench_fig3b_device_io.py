@@ -6,28 +6,8 @@ the indirection layer more than pays for itself because NOVA/XFS/Ext4 are
 better at driving their devices than Strata's log-then-digest path.
 """
 
-from repro.bench.experiments import PAPER_IO_SPEEDUP, TIERS, experiment_fig3b
-from repro.bench.harness import format_rows
 
-
-def test_fig3b_device_io(benchmark, full_scale):
-    total_mib = 24 if full_scale else 12
-    result = benchmark.pedantic(
-        experiment_fig3b, kwargs={"total_mib": total_mib}, rounds=1, iterations=1
+def test_fig3b_device_io(paper_check):
+    assert paper_check(
+        "fig3b", "Mux/Strata write throughput > 1.0x on pm, ssd and hdd"
     )
-    print()
-    print(format_rows(result.rows(), "== Figure 3b: device I/O throughput =="))
-
-    for tier in TIERS:
-        benchmark.extra_info[f"mux_{tier}_mb_s"] = round(result.mux_mb_s[tier], 1)
-        benchmark.extra_info[f"strata_{tier}_mb_s"] = round(
-            result.strata_mb_s[tier], 1
-        )
-        benchmark.extra_info[f"{tier}_speedup_paper"] = PAPER_IO_SPEEDUP[tier]
-        benchmark.extra_info[f"{tier}_speedup_measured"] = round(
-            result.speedup(tier), 2
-        )
-
-    # Mux wins on every device, as in the paper
-    for tier in TIERS:
-        assert result.speedup(tier) > 1.0

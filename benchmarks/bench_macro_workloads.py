@@ -8,48 +8,16 @@ that the tiering actually pays off at the application level.
 
 import pytest
 
-from repro.bench.harness import build_strata
 from repro.bench.macro import ALL_WORKLOADS
-from repro.devices.hdd import HardDiskDrive
-from repro.fs.ext4 import Ext4FileSystem
-from repro.sim.clock import SimClock
-from repro.stack import build_stack
 
-MIB = 1024 * 1024
-CAPS = {"pm": 64 * MIB, "ssd": 128 * MIB, "hdd": 512 * MIB}
-
-
-def run_all(workload):
-    clock = SimClock()
-    ext4 = Ext4FileSystem("ext4", HardDiskDrive("hdd0", CAPS["hdd"], clock), clock)
-    ext4_result = workload(ext4, clock)
-
-    strata_stack = build_strata(capacities=CAPS)
-    strata_result = workload(strata_stack.fs, strata_stack.clock)
-
-    mux_stack = build_stack(capacities=CAPS)
-    mux_result = workload(mux_stack.mux, mux_stack.clock)
-    return {
-        "ext4_hdd": ext4_result,
-        "strata": strata_result,
-        "mux": mux_result,
-    }
+#: beyond "Mux > 0.5x Strata", the claims each workload must also meet
+EXTRA_CLAIMS = {
+    "fileserver": ["fileserver: Mux > ext4/HDD only"],
+    "varmail": ["varmail: Mux > 10x ext4/HDD only"],
+}
 
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
-def test_macro_workload(benchmark, name):
-    workload = ALL_WORKLOADS[name]
-    results = benchmark.pedantic(run_all, args=(workload,), rounds=1, iterations=1)
-    print()
-    for system, result in results.items():
-        print(f"  {system:10s} {result.summary()}")
-        benchmark.extra_info[f"{system}_ops_per_sec"] = round(result.ops_per_sec)
-
-    # tiering (either system) must beat the HDD-only baseline on the
-    # fsync-heavy mail workload; Mux must always be in the same league as
-    # Strata (>= 0.5x) and beat plain HDD on fileserver
-    if name == "varmail":
-        assert results["mux"].ops_per_sec > 10 * results["ext4_hdd"].ops_per_sec
-    if name == "fileserver":
-        assert results["mux"].ops_per_sec > results["ext4_hdd"].ops_per_sec
-    assert results["mux"].ops_per_sec > 0.5 * results["strata"].ops_per_sec
+def test_macro_workload(paper_check, name):
+    for claim in [f"{name}: Mux > 0.5x Strata", *EXTRA_CLAIMS.get(name, [])]:
+        assert paper_check("macro", claim), claim

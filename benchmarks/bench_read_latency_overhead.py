@@ -6,34 +6,10 @@ work (BLT lookup, affinity bookkeeping, OCC check, extra VFS dispatch)
 plus the amortized lazy persistence of its own metadata to the metafile.
 """
 
-from repro.bench.experiments import (
-    PAPER_READ_OVERHEAD,
-    TIERS,
-    experiment_read_overhead,
-)
-from repro.bench.harness import format_rows
 
-
-def test_read_latency_overhead(benchmark, full_scale):
-    iterations = 1200 if full_scale else 400
-    result = benchmark.pedantic(
-        experiment_read_overhead,
-        kwargs={"iterations": iterations},
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(format_rows(result.rows(), "== §3.2 read latency overhead =="))
-
-    for tier in TIERS:
-        benchmark.extra_info[f"{tier}_native_us"] = round(result.native_us[tier], 2)
-        benchmark.extra_info[f"{tier}_mux_us"] = round(result.mux_us[tier], 2)
-        benchmark.extra_info[f"{tier}_overhead_paper_pct"] = PAPER_READ_OVERHEAD[tier]
-        benchmark.extra_info[f"{tier}_overhead_measured_pct"] = round(
-            result.overhead_pct(tier), 1
-        )
-
-    # overheads are positive everywhere; HDD pays the smallest percentage
-    for tier in TIERS:
-        assert result.overhead_pct(tier) > 0
-    assert result.overhead_pct("hdd") < result.overhead_pct("pm")
+def test_read_latency_overhead(paper_check):
+    for claim in (
+        "read overhead > 0% on pm, ssd and hdd",
+        "hdd overhead < pm overhead",
+    ):
+        assert paper_check("read_overhead", claim), claim

@@ -9,59 +9,20 @@ fileserver / webserver / varmail personalities against:
   2. Strata over PM+SSD+HDD (monolithic tiered FS),
   3. Mux over NOVA+XFS+Ext4 (this paper).
 
+This is the ``macro`` entry of the experiment registry, the same one
+``python -m repro.bench macro`` prints.
+
 Run:  python examples/macro_workloads.py
 """
 
-from repro.bench.harness import build_strata
-from repro.bench.macro import ALL_WORKLOADS
-from repro.devices.hdd import HardDiskDrive
-from repro.fs.ext4 import Ext4FileSystem
-from repro.sim.clock import SimClock
-from repro.stack import build_stack
-
-MIB = 1024 * 1024
-CAPS = {"pm": 64 * MIB, "ssd": 128 * MIB, "hdd": 512 * MIB}
+from repro.bench.experiments import EXPERIMENTS
 
 
-def run_on_ext4(workload):
-    clock = SimClock()
-    hdd = HardDiskDrive("hdd0", CAPS["hdd"], clock)
-    fs = Ext4FileSystem("ext4", hdd, clock)
-    return workload(fs, clock)
-
-
-def run_on_strata(workload):
-    stack = build_strata(capacities=CAPS)
-    return workload(stack.fs, stack.clock)
-
-
-def run_on_mux(workload):
-    stack = build_stack(capacities=CAPS)
-    result = workload(stack.mux, stack.clock)
-    stack.mux.maintain()  # let the policy settle (not timed)
-    return result
-
-
-def main():
-    stacks = [
-        ("ext4/HDD only", run_on_ext4),
-        ("Strata (PM+SSD+HDD)", run_on_strata),
-        ("Mux (NOVA+XFS+Ext4)", run_on_mux),
-    ]
-    for name, workload in ALL_WORKLOADS.items():
-        print(f"=== {name} ===")
-        baseline = None
-        for label, runner in stacks:
-            result = runner(workload)
-            speedup = ""
-            if baseline is None:
-                baseline = result.ops_per_sec
-            else:
-                speedup = f"   ({result.ops_per_sec / baseline:.1f}x vs HDD-only)"
-            print(f"  {label:22s} {result.ops_per_sec:12,.0f} ops/s"
-                  f"  ({result.mean_latency_us:8.1f} us/op){speedup}")
-        print()
+def main() -> int:
+    report = EXPERIMENTS["macro"](False)
+    print(report.text())
+    return 1 if report.failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

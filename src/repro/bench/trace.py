@@ -15,6 +15,7 @@ Workload traces for replay against candidate configurations (§4's
 
 from __future__ import annotations
 
+import argparse
 from typing import List, Optional
 
 #: the Mux op counters the workload summary line reports
@@ -168,24 +169,24 @@ def _drr_report(seed: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    import sys
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench trace", add_help=False, allow_abbrev=False
+    )
+    for flag in (
+        "--no-faults", "--write-back", "--readahead-bg", "--pressure",
+        "--cluster", "--drr",
+    ):
+        parser.add_argument(flag, action="store_true")
+    parser.add_argument("--ops", type=int, default=600)
+    parser.add_argument("--seed", type=int, default=2025)
+    args = parser.parse_args(argv)
+    if args.cluster:
+        return _cluster_report(args.ops, args.seed)
+    if args.drr:
+        return _drr_report(args.seed)
 
-    argv = list(sys.argv[1:] if argv is None else argv)
-    faulty = "--no-faults" not in argv
-    write_back = "--write-back" in argv
-    readahead_bg = "--readahead-bg" in argv
-    show_pressure = "--pressure" in argv
-    ops = 600
-    if "--ops" in argv:
-        ops = int(argv[argv.index("--ops") + 1])
-    seed = 2025
-    if "--seed" in argv:
-        seed = int(argv[argv.index("--seed") + 1])
-    if "--cluster" in argv:
-        return _cluster_report(ops, seed)
-    if "--drr" in argv:
-        return _drr_report(seed)
-
+    ops, seed, faulty = args.ops, args.seed, not args.no_faults
+    write_back, readahead_bg = args.write_back, args.readahead_bg
     stack, migrations, degraded_ns = _run_mixed(
         ops, seed, faulty, write_back, readahead_bg
     )
@@ -258,7 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"readahead: bg_blocks={sum(ra_blocks.values())} per-fs=[{per_fs}]"
         )
-    if show_pressure:
+    if args.pressure:
         monitor = stack.mux.pressure
         monitor.sample(now_ns, force=True)
         names = {tid: name for name, tid in stack.tier_ids.items()}

@@ -86,3 +86,19 @@ class TestReporting:
         assert "title" in text
         assert "metric" in text
         assert "1.1x" in text
+
+
+class TestTraceCli:
+    @pytest.mark.parametrize("argv", [["--ops"], ["--ops", "many"], ["--pressur"]])
+    def test_bad_arguments_exit_2(self, argv):
+        from repro.bench.trace import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_drr_report(self, capsys):
+        from repro.bench.trace import main
+
+        assert main(["--drr"]) == 0
+        assert "drr streams:" in capsys.readouterr().out

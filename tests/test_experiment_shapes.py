@@ -1,80 +1,51 @@
-"""Shape assertions for the paper's headline claims, at tiny scale.
+"""Shape assertions for the paper's headline claims, at smoke size.
 
-These run the same experiment code as the benchmark suite but with small
-workloads, asserting only the *qualitative* results the paper reports:
+Each test asserts one named check of a paper-experiment registry entry:
 who wins, which pairs are supported, which overheads are positive.
-Magnitudes are recorded by the benches and EXPERIMENTS.md, not here.
+Magnitudes are recorded by ``python -m repro.bench`` and EXPERIMENTS.md.
 """
-
-import pytest
-
-from repro.bench.experiments import (
-    TIERS,
-    experiment_fig3a,
-    experiment_fig3b,
-)
-
-
-@pytest.fixture(scope="module")
-def fig3a():
-    return experiment_fig3a(file_mib=4)
-
-
-@pytest.fixture(scope="module")
-def fig3b():
-    return experiment_fig3b(total_mib=4, span_mib=8)
 
 
 class TestFig3aShape:
-    def test_mux_supports_all_six_pairs(self, fig3a):
-        assert fig3a.mux_supported_pairs == 6
+    def test_mux_supports_all_six_pairs(self, paper_check):
+        assert paper_check("fig3a", "Mux migrates between all 6 device pairs")
 
-    def test_strata_supports_exactly_two(self, fig3a):
-        assert fig3a.strata_supported_pairs == 2
-        assert set(fig3a.strata) == {("pm", "ssd"), ("pm", "hdd")}
+    def test_strata_supports_exactly_two(self, paper_check):
+        assert paper_check("fig3a", "Strata migrates exactly pm->ssd and pm->hdd")
 
-    def test_mux_faster_on_shared_pairs(self, fig3a):
-        for pair in fig3a.strata:
-            assert fig3a.mux[pair] > fig3a.strata[pair], pair
+    def test_mux_faster_on_shared_pairs(self, paper_check):
+        assert paper_check("fig3a", "Mux beats Strata on every pair Strata supports")
 
-    def test_pm_ssd_speedup_direction(self, fig3a):
+    def test_pm_ssd_speedup_direction(self, paper_check):
         """Paper: 2.59x; we require >1.3x (same story, simulator scale)."""
-        assert fig3a.speedup_pm_ssd() > 1.3
+        assert paper_check("fig3a", "Mux/Strata pm->ssd migration speedup > 1.3x")
 
-    def test_throughputs_positive(self, fig3a):
-        for value in list(fig3a.mux.values()) + list(fig3a.strata.values()):
-            assert value > 0
+    def test_throughputs_positive(self, paper_check):
+        assert paper_check("fig3a", "every migration throughput > 0")
 
-    def test_fast_destinations_faster(self, fig3a):
+    def test_fast_destinations_faster(self, paper_check):
         """Migrating into PM beats migrating into HDD from the same source."""
-        assert fig3a.mux[("ssd", "pm")] > fig3a.mux[("ssd", "hdd")]
+        assert paper_check("fig3a", "Mux ssd->pm beats ssd->hdd")
 
 
 class TestFig3bShape:
-    def test_mux_wins_every_device(self, fig3b):
-        for tier in TIERS:
-            assert fig3b.speedup(tier) > 1.0, tier
+    def test_mux_wins_every_device(self, paper_check):
+        assert paper_check(
+            "fig3b", "Mux/Strata write throughput > 1.0x on pm, ssd and hdd"
+        )
 
-    def test_device_ordering_preserved(self, fig3b):
+    def test_device_ordering_preserved(self, paper_check):
         """PM > SSD > HDD throughput for both systems."""
-        for series in (fig3b.mux_mb_s, fig3b.strata_mb_s):
-            assert series["pm"] > series["ssd"] > series["hdd"]
+        assert paper_check("fig3b", "pm > ssd > hdd throughput for both systems")
 
 
 class TestOverheadShape:
-    @pytest.fixture(scope="class")
-    def reads(self):
-        from repro.bench.experiments import experiment_read_overhead
+    def test_read_overhead_positive_everywhere(self, paper_check):
+        assert paper_check("read_overhead", "read overhead > 0% on pm, ssd and hdd")
 
-        return experiment_read_overhead(iterations=150)
+    def test_hdd_overhead_smallest(self, paper_check):
+        assert paper_check("read_overhead", "hdd overhead < pm overhead")
+        assert paper_check("read_overhead", "hdd overhead < 25%")  # paper: 6.6%
 
-    def test_read_overhead_positive_everywhere(self, reads):
-        for tier in TIERS:
-            assert reads.overhead_pct(tier) > 0, tier
-
-    def test_hdd_overhead_smallest(self, reads):
-        assert reads.overhead_pct("hdd") < reads.overhead_pct("pm")
-        assert reads.overhead_pct("hdd") < 25  # paper: 6.6%
-
-    def test_native_latency_ordering(self, reads):
-        assert reads.native_us["pm"] < reads.native_us["ssd"] < reads.native_us["hdd"]
+    def test_native_latency_ordering(self, paper_check):
+        assert paper_check("read_overhead", "native read latency pm < ssd < hdd")
