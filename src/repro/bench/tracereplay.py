@@ -455,7 +455,11 @@ def write_canonical_traces(directory=None) -> List[Path]:
 
 
 def drop_clean_page_caches(stack) -> None:
-    """Empty every native file system's clean DRAM page cache."""
+    """Empty every native file system's DRAM page cache.
+
+    Dirty pages are discarded too, so their data is lost: callers must
+    fsync the files they wrote first.
+    """
     for fs in stack.filesystems.values():
         cache = getattr(fs, "page_cache", None)
         if cache is not None:

@@ -23,7 +23,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.health import HealthState
 from repro.core.policy import (
@@ -64,6 +64,8 @@ class LruTieringPolicy(Policy):
         #: LRU recency: (ino, chunk) -> tier of last-known residence;
         #: most-recently-used at the end
         self._recency: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
+        #: the chunks of each inode in ``_recency``, so forget skips the scan
+        self._chunks: Dict[int, Set[int]] = {}
         #: promotion requests gathered from on_access
         self._promotions: List[MigrationOrder] = []
 
@@ -85,10 +87,14 @@ class LruTieringPolicy(Policy):
     ) -> None:
         first_chunk = block_start // CHUNK_BLOCKS
         last_chunk = (block_start + count - 1) // CHUNK_BLOCKS
+        chunks = self._chunks.get(ino)
+        if chunks is None:
+            chunks = self._chunks[ino] = set()
         for chunk in range(first_chunk, last_chunk + 1):
             key = (ino, chunk)
             self._recency.pop(key, None)
             self._recency[key] = tier_id
+            chunks.add(chunk)
         if self.promote_on_access and tier_id != 0 and kind == "read":
             self._promotions.append(
                 MigrationOrder(
@@ -102,9 +108,10 @@ class LruTieringPolicy(Policy):
             )
 
     def forget(self, ino: int) -> None:
-        for key in [k for k in self._recency if k[0] == ino]:
-            del self._recency[key]
-        self._promotions = [o for o in self._promotions if o.ino != ino]
+        for chunk in self._chunks.pop(ino, ()):
+            del self._recency[(ino, chunk)]
+        if self._promotions:
+            self._promotions = [o for o in self._promotions if o.ino != ino]
 
     # -- planning ---------------------------------------------------------------
 

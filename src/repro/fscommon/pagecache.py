@@ -8,12 +8,16 @@ the page cache); Mux's *shared* SCM cache is a separate component built in
 
 Write-back semantics: dirty pages accumulate and are flushed on fsync or
 when evicted by LRU pressure.  DRAM hits charge only a copy cost.
+
+One ``OrderedDict`` is the LRU over every cached page.  A per-inode index
+(``ino -> {file_block: Page}``) sits next to it, so fsync, unlink and
+truncate cost O(pages of that inode) instead of O(cache).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.clock import SimClock
 from repro.sim.stats import CounterSet
@@ -53,6 +57,8 @@ class PageCache:
         self.page_size = page_size
         self._writeback = writeback
         self._pages: "OrderedDict[PageKey, Page]" = OrderedDict()
+        #: the same pages by inode; holds exactly the keys of ``_pages``
+        self._by_ino: Dict[int, Dict[int, Page]] = {}
         self.stats = CounterSet()
 
     # -- lookup ------------------------------------------------------------
@@ -119,7 +125,7 @@ class PageCache:
             existing.dirty = existing.dirty or dirty
             self._pages.move_to_end(key)
         else:
-            self._pages[key] = Page(data, dirty)
+            self._insert(key, Page(data, dirty))
             self.stats.add("insert")
         self.clock.advance_ns(DRAM_PAGE_COPY_NS)
         self._evict_to_capacity()
@@ -149,9 +155,28 @@ class PageCache:
                 existing.dirty = existing.dirty or dirty
                 self._pages.move_to_end(key)
             else:
-                self._pages[key] = Page(block, dirty)
+                self._insert(key, Page(block, dirty))
                 self.stats.add("insert")
             self._evict_to_capacity()
+
+    def _insert(self, key: PageKey, page: Page) -> None:
+        """Add a page at the MRU end of the LRU and to its inode's index."""
+        self._pages[key] = page
+        ino, fb = key
+        index = self._by_ino.get(ino)
+        if index is None:
+            index = self._by_ino[ino] = {}
+        index[fb] = page
+
+    def _unindex(self, ino: int, fbs: Iterable[int]) -> None:
+        """Drop ``fbs`` of ``ino`` from the LRU and the index."""
+        index = self._by_ino[ino]
+        pages = self._pages
+        for fb in fbs:
+            del index[fb]
+            del pages[(ino, fb)]
+        if not index:
+            del self._by_ino[ino]
 
     def _evict_to_capacity(self) -> None:
         # bound the scan so a cache full of unevictable pages (every
@@ -161,24 +186,39 @@ class PageCache:
         while len(self._pages) > self.capacity_pages and attempts > 0:
             attempts -= 1
             key, page = self._pages.popitem(last=False)
+            ino, fb = key
+            index = self._by_ino[ino]
+            del index[fb]
+            if not index:
+                del self._by_ino[ino]
             self.stats.add("evict")
             if page.dirty:
                 self.stats.add("evict_dirty")
-                if self._writeback(key[0], key[1], page.data) is False:
+                try:
+                    kept = self._writeback(ino, fb, page.data) is False
+                except Exception:
+                    # a transient write error propagates to the caller's
+                    # retry machinery; the page stays cached and dirty as
+                    # the next victim instead of vanishing untracked
+                    self._insert(key, page)
+                    self._pages.move_to_end(key, last=False)
+                    raise
+                if kept:
                     # the FS kept the page dirty (failed write under a
                     # keep-dirty policy): reinsert at the MRU end and try
                     # the next victim
                     self.stats.add("evict_kept")
-                    self._pages[key] = page
+                    self._insert(key, page)
 
     # -- flushing ---------------------------------------------------------------
 
     def flush_inode(self, ino: int) -> int:
-        """Write back all dirty pages of one inode; returns pages flushed."""
+        """Write back all dirty pages of one inode in file-block order;
+        returns pages flushed."""
         flushed = 0
-        for key, page in list(self._pages.items()):
-            if key[0] == ino and page.dirty:
-                if self._writeback(key[0], key[1], page.data) is False:
+        for fb, page in sorted(self._by_ino.get(ino, {}).items()):
+            if page.dirty:
+                if self._writeback(ino, fb, page.data) is False:
                     continue  # write refused; the page stays dirty
                 page.dirty = False
                 flushed += 1
@@ -202,52 +242,50 @@ class PageCache:
         Used by the journaled file systems to batch writeback into large
         contiguous device writes instead of page-at-a-time callbacks.
         """
-        items = [
-            (key[1], page.data)
-            for key, page in self._pages.items()
-            if key[0] == ino and page.dirty
-        ]
+        index = self._by_ino.get(ino)
+        if not index:
+            return []
+        items = [(fb, page.data) for fb, page in index.items() if page.dirty]
         items.sort()
         return items
 
     def mark_clean(self, ino: int, file_blocks: Iterable[int]) -> None:
         """Clear the dirty bit on specific pages after a batched writeback."""
+        index = self._by_ino.get(ino)
+        if not index:
+            return
         for fb in file_blocks:
-            page = self._pages.get((ino, fb))
+            page = index.get(fb)
             if page is not None:
                 page.dirty = False
 
     def invalidate_inode(self, ino: int) -> None:
         """Drop all pages of an inode (unlink/truncate); dirty pages are lost."""
-        for key in [k for k in self._pages if k[0] == ino]:
-            del self._pages[key]
+        pages = self._pages
+        for fb in self._by_ino.pop(ino, ()):
+            del pages[(ino, fb)]
 
     def invalidate_range(self, ino: int, first_block: int, count: int) -> None:
         """Drop pages of ``ino`` in [first_block, first_block+count)."""
-        if count >= len(self._pages):
-            keys = [
-                k
-                for k in self._pages
-                if k[0] == ino and first_block <= k[1] < first_block + count
-            ]
-        else:
-            keys = [
-                (ino, fb)
-                for fb in range(first_block, first_block + count)
-                if (ino, fb) in self._pages
-            ]
-        for key in keys:
-            del self._pages[key]
+        index = self._by_ino.get(ino)
+        if index:
+            end = first_block + count
+            self._unindex(ino, [fb for fb in index if first_block <= fb < end])
 
     def invalidate_from(self, ino: int, first_block: int) -> None:
         """Drop pages of ``ino`` at or beyond ``first_block`` (truncate)."""
-        for key in [k for k in self._pages if k[0] == ino and k[1] >= first_block]:
-            del self._pages[key]
+        index = self._by_ino.get(ino)
+        if index:
+            self._unindex(ino, [fb for fb in index if fb >= first_block])
 
     def drop_clean(self) -> None:
-        """Drop every clean page (crash simulation keeps nothing volatile)."""
-        for key in [k for k, p in self._pages.items()]:
-            del self._pages[key]
+        """Drop every page, dirty ones included: their data is discarded.
+
+        Models the page cache's fate at a crash.  A caller that wants only
+        clean pages gone must fsync (or sync) first.
+        """
+        self._pages.clear()
+        self._by_ino.clear()
 
     # -- introspection ------------------------------------------------------------
 

@@ -102,3 +102,39 @@ class TestTraceCli:
 
         assert main(["--drr"]) == 0
         assert "drr streams:" in capsys.readouterr().out
+
+
+class TestProfileByLayer:
+    def test_layer_of_maps_packages_to_columns(self):
+        from repro.bench.profile import layer_of
+
+        assert layer_of("/x/src/repro/fscommon/pagecache.py") == "page cache"
+        assert layer_of("/x/src/repro/fscommon/journaledfs.py") == "rest of fscommon"
+        assert layer_of("/x/src/repro/devices/base.py") == "devices"
+        assert layer_of("/x/src/repro/core/mux.py") == "core"
+        assert layer_of("/x/src/repro/sim/clock.py") == "sim"
+        assert layer_of("/x/src/repro/fs/xfs.py") == "other"
+        assert layer_of("~") == "other"
+
+    def test_shares_sum_to_one_on_a_smoke_run(self):
+        import cProfile
+        import pstats
+
+        from repro.bench.profile import LAYERS, OTHER, layer_shares
+        from repro.bench.wallclock import run_workload
+
+        profiler = cProfile.Profile()
+        profiler.runcall(run_workload, "parallel_stripe", True)
+        shares = layer_shares(pstats.Stats(profiler))
+        assert list(shares) == [label for label, _ in LAYERS] + [OTHER]
+        assert sum(shares.values()) == pytest.approx(1.0)
+        assert all(share >= 0.0 for share in shares.values())
+        assert shares["page cache"] > 0.0 and shares["devices"] > 0.0
+
+    def test_cli_prints_one_table_row(self, capsys):
+        from repro.bench.profile import main
+
+        assert main(["parallel_stripe", "--smoke", "--by-layer"]) == 0
+        out = capsys.readouterr().out
+        assert "| workload | page cache | rest of fscommon | devices | core | sim | other |" in out
+        assert "| `parallel_stripe` |" in out

@@ -165,6 +165,34 @@ class TestXfsKeepPolicy:
         # with the pages gone, fsync succeeds even on the dead device
         xfs.fsync(handle)
 
+    def test_transient_eviction_error_keeps_the_victim_dirty(self, xfs):
+        xfs.page_cache.capacity_pages = 4
+        victim = dirty_file(xfs, path="/victim", blocks=1)
+        real = type(xfs.device).write_blocks
+        failures = []
+
+        def fail_first_data_write(block_no, data):
+            if block_no >= xfs._data_base and not failures:
+                failures.append(block_no)
+                raise DeviceIoError("transient write error", transient=True)
+            return real(xfs.device, block_no, data)
+
+        xfs.device.write_blocks = fail_first_data_write
+        other = xfs.create("/other")
+        # the fifth page evicts /victim's, whose writeback fails once
+        with pytest.raises(DeviceIoError):
+            xfs.write(other, 0, b"O" * (4 * BS))
+        assert failures
+        heal(xfs)
+        assert xfs.page_cache.dirty_items(victim.ino) == [(0, b"D" * BS)]
+        xfs.fsync(victim)
+        assert xfs.read(victim, 0, BS) == b"D" * BS
+        assert xfs.lost_intervals() == []
+        xfs.crash()
+        xfs.recover()
+        victim = xfs.open("/victim")
+        assert xfs.read(victim, 0, BS) == b"D" * BS
+
     def test_policy_knobs_match_the_matrix(self, nova, xfs, ext4):
         assert ext4.wb_failure_policy == "clean"
         assert xfs.wb_failure_policy == "keep"

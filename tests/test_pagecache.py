@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import DeviceIoError
 from repro.fscommon.pagecache import PageCache
 from repro.sim.clock import SimClock
 
@@ -83,6 +84,27 @@ class TestEviction:
         for fb in range(10):
             cache.put(1, fb, page(fb), dirty=False)
         assert cache.cached_pages == 4
+
+    def test_raising_writeback_keeps_the_victim_at_the_lru_head(self):
+        calls = []
+
+        def writeback(ino, fb, data):
+            calls.append((ino, fb))
+            if len(calls) == 1:
+                raise DeviceIoError("transient write error", transient=True)
+
+        cache = PageCache(SimClock(), capacity_pages=2, page_size=PAGE, writeback=writeback)
+        cache.put(1, 0, page(1), dirty=True)
+        cache.put(2, 0, page(2), dirty=False)
+        with pytest.raises(DeviceIoError):
+            cache.put(3, 0, page(3), dirty=False)
+        # still cached, still dirty, and the next victim
+        assert list(cache._pages) == [(1, 0), (2, 0), (3, 0)]
+        assert cache.dirty_items(1) == [(0, page(1))]
+        cache.put(3, 1, page(4), dirty=False)
+        assert calls == [(1, 0), (1, 0)]
+        assert list(cache._pages) == [(3, 0), (3, 1)]
+        assert cache.dirty_pages == 0
 
 
 class TestFlush:
